@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -95,30 +95,6 @@ def _parse_point(text: str) -> HyperbolicPoint:
     return HyperbolicPoint(float(parts[0]), float(parts[1]))
 
 
-def _workers() -> int:
-    raw = os.environ.get("LIOUWAVE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"LIOUWAVE_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError("LIOUWAVE_THREADS must be >= 0")
-    return os.cpu_count() or 1 if n == 0 else n
-
-
-def _grid_values(points, evaluate) -> list[float]:
-    """Evaluate a pure function over indexed points; order never depends on workers."""
-    workers = _workers()
-    if workers > 1 and len(points) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
-
-
 def _echo(args: argparse.Namespace, skip=("out", "format", "no_timestamp", "func")) -> str:
     pairs = []
     for key in sorted(vars(args)):
@@ -179,55 +155,35 @@ def _cmd_eval_kernel(args, started):
     return EXIT_OK
 
 
-def _solver_rows(times, xs, solve_one):
-    points = [(t, float(x)) for t in times for x in xs]
-    values = _grid_values(points, lambda p: 0.0 if p[0] == 0.0 else solve_one(*p))
-    return [(t, x, v) for (t, x), v in zip(points, values)]
-
-
 def _check_times(times):
     if any(t < 0.0 for t in times):
         raise ConfigError("--t values must be >= 0")
     return times
 
 
-def _cmd_solve(args, started):
+# line-solve command -> its row solver (profile, t, positions, rule, panels),
+# with the coupling bound from the parsed flags
+_LINE_SOLVERS = {
+    "solve": lambda args: partial(
+        solve_cauchy_regularized if args.regularized else solve_cauchy, args.k),
+    "solve-const": lambda args: partial(constant_potential_solve, args.k),
+    "solve-telegraph": lambda args: partial(
+        telegraph_solve, TelegraphParams(args.alpha, args.beta)),
+}
+
+
+def _cmd_solve_line(args, started):
+    solve = _LINE_SOLVERS[args.command](args)
     profile = _parse_profile(args.profile)
     times = _check_times(_parse_floats(args.t, "--t"))
     xs = _parse_grid(args.x_grid)
     rule = gauss_legendre(args.quad_order)
-    solver = solve_cauchy_regularized if args.regularized else solve_cauchy
-
-    rows = _solver_rows(times, xs, lambda t, x: solver(args.k, profile, t, x, rule, args.panels))
-    provenance = "regularized" if args.regularized else "quadrature"
+    rows = []
+    for t in times:
+        values = np.zeros(len(xs)) if t == 0.0 else solve(profile, t, xs, rule, args.panels)
+        rows.extend((t, float(x), v) for x, v in zip(xs, values))
+    provenance = "regularized" if getattr(args, "regularized", False) else "quadrature"
     _write_record(args, ("t", "X", "value"), rows, provenance, started)
-    return EXIT_OK
-
-
-def _cmd_solve_const(args, started):
-    profile = _parse_profile(args.profile)
-    times = _check_times(_parse_floats(args.t, "--t"))
-    xs = _parse_grid(args.x_grid)
-    rule = gauss_legendre(args.quad_order)
-    rows = _solver_rows(
-        times, xs,
-        lambda t, x: constant_potential_solve(args.k, profile, t, x, rule, args.panels),
-    )
-    _write_record(args, ("t", "X", "value"), rows, "quadrature", started)
-    return EXIT_OK
-
-
-def _cmd_solve_telegraph(args, started):
-    params = TelegraphParams(args.alpha, args.beta)
-    profile = _parse_profile(args.profile)
-    times = _check_times(_parse_floats(args.t, "--t"))
-    xs = _parse_grid(args.x_grid)
-    rule = gauss_legendre(args.quad_order)
-    rows = _solver_rows(
-        times, xs,
-        lambda t, x: telegraph_solve(params, profile, t, x, rule, args.panels),
-    )
-    _write_record(args, ("t", "X", "value"), rows, "quadrature", started)
     return EXIT_OK
 
 
@@ -292,14 +248,11 @@ def _cmd_convergence(args, started):
     rows = []
     panels = 1
     while panels <= args.max_panels:
-        gap = max(
-            abs(
-                solve_cauchy(args.k, profile, t, float(x), rule, panels)
-                - solve_cauchy_regularized(args.k, profile, t, float(x), rule, panels)
-            )
-            for x in xs
-        )
-        rows.append((float(panels), gap))
+        gap = np.max(np.abs(
+            solve_cauchy(args.k, profile, t, xs, rule, panels)
+            - solve_cauchy_regularized(args.k, profile, t, xs, rule, panels)
+        ))
+        rows.append((float(panels), float(gap)))
         panels *= 2
     _write_record(args, ("panels", "gap"), rows, "quadrature", started)
     return EXIT_OK
@@ -320,6 +273,16 @@ def _add_quad_flags(p):
     p.add_argument("--panels", type=int, default=8)
 
 
+def _add_line_flags(p):
+    """Flags shared by the line-solve commands, which _LINE_SOLVERS dispatches."""
+    p.add_argument("--profile", required=True, help="bump:a:b or file:PATH")
+    p.add_argument("--t", required=True, help="comma-separated times")
+    p.add_argument("--x-grid", required=True, help="min:max:count")
+    _add_quad_flags(p)
+    _add_output_flags(p)
+    p.set_defaults(func=_cmd_solve_line)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="liouwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -336,33 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exponential-potential Cauchy solve on a grid")
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--profile", required=True, help="bump:a:b or file:PATH")
-    p.add_argument("--t", required=True)
-    p.add_argument("--x-grid", required=True)
     p.add_argument("--regularized", action="store_true",
                    help="use the substituted fixed-interval form")
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve)
+    _add_line_flags(p)
 
     p = sub.add_parser("solve-const", help="constant-potential Cauchy solve on a grid")
     p.add_argument("--k", type=float, required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--x-grid", required=True)
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve_const)
+    _add_line_flags(p)
 
     p = sub.add_parser("solve-telegraph", help="transmission-line solve on a grid")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--profile", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--x-grid", required=True)
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_solve_telegraph)
+    _add_line_flags(p)
 
     p = sub.add_parser("solve-hyperbolic", help="half-plane wave solve at a point")
     p.add_argument("--profile", required=True, help="bump2:x0:x1:y0:y1")

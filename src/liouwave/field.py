@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 PROVENANCES = ("quadrature", "regularized", "fd-oracle", "closed-form")
 
@@ -36,6 +36,7 @@ class SolutionField:
                 f"values shape {self.values.shape} does not match "
                 f"(times, positions) = ({len(self.times)}, {len(self.positions)})"
             )
+        require_finite("SolutionField", times=self.times, positions=self.positions)
         if np.any(np.diff(self.times) < 0.0) or np.any(np.diff(self.positions) <= 0.0):
             raise ConfigError("times must be sorted and positions strictly increasing")
         if len(self.times) and self.times[0] == 0.0 and np.any(self.values[0] != 0.0):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, SeparabilityError
 from .profiles import FunctionProfile, InitialProfile
 from .propagator import DEFAULT_PANELS, _check_solve_args, solve_cauchy
-from .quadrature import QuadratureRule, panel_points
+from .quadrature import QuadratureRule, panel_points, weighted_sum
 
 # Normalization of the disk kernel.  The radial integral of the kernel
 # against 1 is 2 sqrt(cosh t - 1) exactly, so the disk mass is
@@ -170,9 +170,7 @@ def _radial_nodes(t: float, quad: QuadratureRule, panels: int):
     return q, 2.0 * wq, r
 
 
-def disk_kernel_mass(
-    t: float, quad: QuadratureRule | None = None, panels: int = DEFAULT_PANELS, n_theta: int = DEFAULT_N_THETA
-) -> float:
+def disk_kernel_mass(t: float, quad: QuadratureRule | None = None, panels: int = DEFAULT_PANELS) -> float:
     """Integral of (cosh t - cosh d)^{-1/2} over the geodesic disk of radius t.
 
     Closed form 4 sqrt(2) pi sinh(t/2); computed here by the same polar
@@ -197,17 +195,18 @@ def hyperbolic_solve(
     (cosh t - cosh d(w, w'))^{-1/2} f(w') with the hyperbolic area
     element.  Angles use the periodic trapezoid rule (spectral for smooth
     integrands); the radial direction uses the substituted Gauss-Legendre
-    nodes.
+    nodes.  The profile is evaluated once on the whole (angle x radius)
+    node grid.
     """
     quad = _check_solve_args(t, quad)
     if n_theta < 4:
         raise ConfigError(f"need at least 4 angular nodes, got {n_theta}")
     _, w2, r = _radial_nodes(t, quad, panels)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    total = 0.0
-    for theta in thetas:
-        px, py = _polar_points(w, r, theta)
-        total += float(np.dot(w2, f(px, py)))
+    px, py = _polar_points(w, r, thetas[:, None])
+    # a running sum over the per-angle radial sums gives the same value,
+    # bit for bit, as adding them one angle at a time
+    total = float(np.add.accumulate(weighted_sum(w2, f(px, py)))[-1])
     return DISK_KERNEL_NORM * (2.0 * math.pi / n_theta) * total
 
 
@@ -260,9 +259,8 @@ def hyperbolic_fourier_check(
     phases = np.exp(-1j * np.outer(freqs, gpts))
     ghat = phases @ (gwts * gvals)
 
-    mode_values = np.array(
-        [solve_cauchy(freq, line_data, t, big_x, quad, panels) for freq in freqs]
-    )
+    # one line solve per frequency, all at the observation's X in one row
+    mode_values = solve_cauchy(freqs, line_data, t, np.full(freqs.shape, big_x), quad, panels)
     integrand = np.real(np.exp(1j * freqs * w.x) * ghat) * mode_values
     dk = freq_max / n_freq
     trapezoid = dk * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))

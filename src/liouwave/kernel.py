@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, SingularityError
+import numpy as np
+
+from .errors import DomainError, SingularityError, require_finite
 from .specfun import bessel_j0, bessel_y0
 
 __all__ = [
@@ -25,17 +27,19 @@ __all__ = [
 ]
 
 
-def _require_finite(op: str, **vals: float) -> None:
-    for name, v in vals.items():
-        if not math.isfinite(v):
-            raise DomainError(f"{op} requires finite {name}, got {v!r}")
+def sinh_argument(t, x, xp, k):
+    """Kernel argument 2|k| e^{(x+x')/2} sqrt(sinh((t+d)/2) sinh((t-d)/2)), d = x - x'.
 
-
-def _sinh_product(t: float, delta: float) -> float:
-    # cosh t - cosh delta = 2 sinh((t+delta)/2) sinh((t-delta)/2); the
-    # product form keeps full precision near the cone, where the literal
-    # difference of hyperbolic cosines loses every significant digit.
-    return math.sinh(0.5 * (t + delta)) * math.sinh(0.5 * (t - delta))
+    The product of sinh factors equals (cosh t - cosh d) / 2 but keeps full
+    precision near the cone, where the literal difference of hyperbolic
+    cosines loses every significant digit.  Numbers or broadcasting
+    arrays; a negative product (a point outside the cone, or roundoff
+    from one exactly on it) is clamped to 0, so callers that must reject
+    such points check |x - x'| <= |t| first.
+    """
+    delta = x - xp
+    prod = np.sinh(0.5 * (t + delta)) * np.sinh(0.5 * (t - delta))
+    return 2.0 * abs(k) * np.exp(0.5 * (x + xp)) * np.sqrt(np.maximum(prod, 0.0))
 
 
 def kernel_argument(t: float, x: float, xp: float, k: float) -> float:
@@ -47,15 +51,14 @@ def kernel_argument(t: float, x: float, xp: float, k: float) -> float:
     factor makes the value 0 everywhere).
     """
     t, x, xp, k = float(t), float(x), float(xp), float(k)
-    _require_finite("kernel_argument", t=t, x=x, xp=xp, k=k)
+    require_finite("kernel_argument", t=t, x=x, xp=xp, k=k)
     if k == 0.0:
         return 0.0
-    prod = _sinh_product(t, x - xp)
-    if prod < 0.0:
+    if abs(x - xp) > abs(t):
         raise DomainError(
             f"point (t={t}, x={x}, x'={xp}) lies outside the closed light cone"
         )
-    return 2.0 * abs(k) * math.exp(0.5 * (x + xp)) * math.sqrt(prod)
+    return float(sinh_argument(t, x, xp, k))
 
 
 class KernelPartials(NamedTuple):
@@ -95,7 +98,7 @@ def wave_kernel(t: float, x: float, xp: float, k: float, a: float = 1.0, b: floa
     b != 0 requires a point strictly inside the cone with k != 0.
     """
     a, b = float(a), float(b)
-    _require_finite("wave_kernel", a=a, b=b)
+    require_finite("wave_kernel", a=a, b=b)
     z = kernel_argument(t, x, xp, k)
     if b == 0.0:
         return a * bessel_j0(z)
@@ -123,7 +126,7 @@ def pde_residual(
     the verification suite measures.
     """
     t, x, xp, k, h = float(t), float(x), float(xp), float(k), float(h)
-    _require_finite("pde_residual", t=t, x=x, xp=xp, k=k, h=h)
+    require_finite("pde_residual", t=t, x=x, xp=xp, k=k, h=h)
     if h <= 0.0:
         raise DomainError(f"stencil step must be positive, got {h}")
     if abs(t) - abs(x - xp) <= 2.0 * h:

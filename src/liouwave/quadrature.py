@@ -51,22 +51,35 @@ def default_rule() -> QuadratureRule:
     return gauss_legendre(DEFAULT_QUAD_ORDER)
 
 
-def panel_points(rule: QuadratureRule, lo: float, hi: float, panels: int = 1):
+def panel_points(rule: QuadratureRule, lo, hi, panels: int = 1):
     """Nodes and weights of the composite rule on [lo, hi] split into equal panels.
 
     Nodes are strictly interior to each panel, so integrands that are
     singular or undefined exactly at lo or hi are never evaluated there.
+    lo and hi may also be equal-length 1-D arrays of interval ends; the
+    nodes and weights are then one row per interval, each bitwise the
+    nodes that interval gets alone.
     """
     if panels < 1:
         raise ConfigError(f"panel count must be >= 1, got {panels}")
-    if not hi > lo:
+    if not np.all(hi > lo):
         raise ConfigError(f"empty integration interval [{lo}, {hi}]")
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = (mid[:, None] + half[:, None] * rule.nodes[None, :]).ravel()
-    wts = (half[:, None] * rule.weights[None, :]).ravel()
+    edges = np.linspace(lo, hi, panels + 1).T
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = (*np.shape(lo), -1)
+    pts = (mid[..., None] + half[..., None] * rule.nodes).reshape(shape)
+    wts = (half[..., None] * rule.weights).reshape(shape)
     return pts, wts
+
+
+def weighted_sum(wts, vals):
+    """Sum of wts * vals along the last axis, each row added up exactly as np.dot adds it.
+
+    Stacked vector-by-vector products run one BLAS dot per row, so a
+    batched row equals the one-at-a-time value bitwise.
+    """
+    return (vals[..., None, :] @ wts[..., :, None])[..., 0, 0]
 
 
 def integrate(func, lo: float, hi: float, rule: QuadratureRule | None = None, panels: int = 1) -> float:

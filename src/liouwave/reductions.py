@@ -13,12 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0 as _i0, j0 as _j0
+from scipy.special import i0e as _i0e, j0 as _j0
 
 from .errors import ConfigError, DomainError
+from .kernel import sinh_argument
 from .profiles import InitialProfile
-from .propagator import DEFAULT_PANELS, _check_solve_args
-from .quadrature import QuadratureRule, panel_points
+from .propagator import DEFAULT_PANELS, _cone_row
+from .quadrature import QuadratureRule
 
 __all__ = [
     "TelegraphParams",
@@ -57,44 +58,38 @@ class TelegraphParams:
         return 0.5 * abs(self.alpha - self.beta)
 
 
-def _cone_integral(kernel, coupling, f, t, x, quad, panels) -> float:
-    """(1/2) * integral of kernel(|coupling| sqrt(t^2 - (x - x')^2)) f(x')."""
-    a, b = f.support
-    lo, hi = max(x - t, a), min(x + t, b)
-    if lo >= hi:
-        return 0.0
-    pts, wts = panel_points(quad, lo, hi, panels)
-    r2 = np.maximum(t * t - (x - pts) ** 2, 0.0)
-    vals = kernel(abs(coupling) * np.sqrt(r2)) * f(pts)
-    return 0.5 * float(np.dot(wts, vals))
+def _flat_argument(t, x, xp, coupling):
+    """|coupling| sqrt(t^2 - (x - x')^2), the constant-coefficient cone argument."""
+    r2 = np.maximum(t * t - (x - xp) ** 2, 0.0)
+    return abs(coupling) * np.sqrt(r2)
 
 
 def constant_potential_solve(
     k: float,
     f: InitialProfile,
     t: float,
-    x: float,
+    x,
     quad: QuadratureRule | None = None,
     panels: int = DEFAULT_PANELS,
-) -> float:
+):
     """Solution of u_tt = u_xx - k^2 u with u(0) = 0, u_t(0) = f.
 
     (1/2) * integral of J0(|k| sqrt(t^2 - (x - x')^2)) f(x') over the
     cone, same normalization as the exponential-potential propagator;
-    k = 0 degenerates to the d'Alembert average.
+    k = 0 degenerates to the d'Alembert average.  x is a number or a 1-D
+    array, as for solve_cauchy.
     """
-    quad = _check_solve_args(t, quad)
-    return _cone_integral(_j0, k, f, t, x, quad, panels)
+    return _cone_row(t, x, k, _flat_argument, _j0, f, quad, panels)
 
 
 def telegraph_solve(
     params: TelegraphParams,
     f: InitialProfile,
     t: float,
-    x: float,
+    x,
     quad: QuadratureRule | None = None,
     panels: int = DEFAULT_PANELS,
-) -> float:
+):
     """Transmission-line solution v(t, x) with v(0) = 0, v_t(0) = f.
 
     Stripping the damping via v = e^{-damping t} w leaves
@@ -102,10 +97,16 @@ def telegraph_solve(
     sign from the constant-potential equation, so the cone kernel is the
     modified Bessel I0, not J0.  The damped-wave finite-difference oracle
     pins this down.
+
+    The damping factor is folded into the kernel as
+    I0(z) e^{-damping t} = i0e(z) e^{z - damping t} with z = mass * r and
+    r <= t; since mass <= damping the exponent is <= 0, so neither factor
+    overflows where the product is finite.
     """
-    quad = _check_solve_args(t, quad)
-    w = _cone_integral(_i0, params.mass, f, t, x, quad, panels)
-    return math.exp(-params.damping * t) * w
+    def kernel(z):
+        return _i0e(z) * np.exp(z - params.damping * t)
+
+    return _cone_row(t, x, params.mass, _flat_argument, kernel, f, quad, panels)
 
 
 # Cone-interior (t, x, x') samples used by the default scaling study and
@@ -151,25 +152,15 @@ class ScalingStudy:
             raise DomainError(f"coupling must be finite, got {self.k!r}")
 
 
-def _rescaled_argument(t, x, xp, k, lam):
-    # |k/s| sqrt(2 e^{s(x+x')} (cosh st - cosh s(x-x'))), product-of-sinh form
-    delta = x - xp
-    prod = math.sinh(0.5 * lam * (t + delta)) * math.sinh(0.5 * lam * (t - delta))
-    return 2.0 * abs(k) / lam * math.exp(0.5 * lam * (x + xp)) * math.sqrt(max(prod, 0.0))
-
-
 def scaling_limit_gap(study: ScalingStudy) -> np.ndarray:
     """Per-scale max |J0(rescaled argument) - J0(flat argument)| over the samples.
 
     The sequence decreases to 0 as the scales do; the leading error is
     O(scale) from the e^{s(x+x')} factor.
     """
-    gaps = []
-    for lam in study.lambdas:
-        worst = 0.0
-        for (t, x, xp) in study.samples:
-            z_scaled = _rescaled_argument(t, x, xp, study.k, lam)
-            z_flat = abs(study.k) * math.sqrt(t * t - (x - xp) ** 2)
-            worst = max(worst, abs(float(_j0(z_scaled)) - float(_j0(z_flat))))
-        gaps.append(worst)
-    return np.asarray(gaps)
+    t, x, xp = np.asarray(study.samples, dtype=float).T
+    flat = _j0(_flat_argument(t, x, xp, study.k))
+    return np.array([
+        np.max(np.abs(_j0(sinh_argument(lam * t, lam * x, lam * xp, study.k / lam)) - flat))
+        for lam in study.lambdas
+    ])

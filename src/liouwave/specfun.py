@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from scipy import special as _sp
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "EULER_GAMMA",
@@ -58,20 +58,14 @@ Y0_ACCURACY = EvalAccuracy(abs_tol=1e-12, rel_tol=1e-12, domain=(1e-8, 50.0))
 I0_ACCURACY = EvalAccuracy(abs_tol=1e-13, rel_tol=1e-13, domain=(0.0, 5.0))
 
 
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} requires a finite argument, got {x!r}")
-    return x
-
-
 def bessel_j0(x: float) -> float:
     """Bessel function of the first kind, order zero.
 
     Even in x, so any sign is accepted and |x| is evaluated; J0(0) = 1
     exactly.
     """
-    x = _require_finite("bessel_j0", x)
+    x = float(x)
+    require_finite("bessel_j0", x=x)
     return float(_sp.j0(abs(x)))
 
 
@@ -82,7 +76,8 @@ def bessel_y0(x: float) -> float:
     A nonpositive argument signals evaluation on or outside the light
     cone, where the second-kind branch of the wave kernel is singular.
     """
-    x = _require_finite("bessel_y0", x)
+    x = float(x)
+    require_finite("bessel_y0", x=x)
     if x <= 0.0:
         raise DomainError(f"bessel_y0 requires x > 0, got {x!r}")
     return float(_sp.y0(x))
@@ -90,7 +85,8 @@ def bessel_y0(x: float) -> float:
 
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order zero (even in x)."""
-    x = _require_finite("bessel_i0", x)
+    x = float(x)
+    require_finite("bessel_i0", x=x)
     return float(_sp.i0(abs(x)))
 
 
@@ -100,5 +96,6 @@ def asinh(x: float) -> float:
     math.asinh is used directly; it is odd-symmetric and stable for large
     |x| where the naive logarithm form overflows or cancels.
     """
-    x = _require_finite("asinh", x)
+    x = float(x)
+    require_finite("asinh", x=x)
     return math.asinh(x)

@@ -42,20 +42,6 @@ def test_solve_output_deterministic(tmp_path):
     assert _read(out1) == _read(out2)
 
 
-def test_worker_env_does_not_change_output(tmp_path, monkeypatch):
-    args = [
-        "solve", "--k", "1", "--profile", "bump:-1:1", "--t", "1",
-        "--x-grid", "-2:2:11", "--no-timestamp",
-    ]
-    out1, out2, out3 = tmp_path / "serial.csv", tmp_path / "threads.csv", tmp_path / "auto.csv"
-    assert main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("LIOUWAVE_THREADS", "4")
-    assert main(args + ["--out", str(out2)]) == 0
-    monkeypatch.setenv("LIOUWAVE_THREADS", "0")  # 0 = all cores
-    assert main(args + ["--out", str(out3)]) == 0
-    assert _read(out1) == _read(out2) == _read(out3)
-
-
 def test_regularized_flag_agrees_with_raw_form(tmp_path):
     base = [
         "--k", "1", "--profile", "bump:-1:1", "--t", "1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from liouwave import (
     ConfigError,
     DomainError,
     FunctionProfile,
+    SolutionField,
+    TelegraphParams,
+    constant_potential_solve,
     gauss_legendre,
     small_time_slope,
     solve_cauchy,
     solve_cauchy_regularized,
     solve_on_grid,
+    telegraph_solve,
 )
 from oracles import dalembert_value
 
@@ -154,9 +160,56 @@ def test_solve_on_grid_field_invariants(bump):
     assert field.provenance == "quadrature"
 
 
-def test_solve_on_grid_worker_count_does_not_change_values(bump):
-    times = [0.5, 1.0]
-    xs = np.linspace(-2.0, 2.0, 9)
-    serial = solve_on_grid(1.0, bump, times, xs, workers=1)
-    threaded = solve_on_grid(1.0, bump, times, xs, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
+
+LINE_SOLVERS = {
+    "raw": solve_cauchy,
+    "regularized": solve_cauchy_regularized,
+    "constant": constant_potential_solve,
+    "telegraph": lambda k, f, t, x: telegraph_solve(TelegraphParams(1.0, 0.5), f, t, x),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(LINE_SOLVERS))
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.array([0.0, math.nan])])
+def test_line_solvers_reject_non_finite_positions(bump, solver, x):
+    with pytest.raises(DomainError):
+        LINE_SOLVERS[solver](1.0, bump, 1.0, x)
+
+
+@pytest.mark.parametrize("solver", ["raw", "regularized", "constant"])
+@pytest.mark.parametrize("k", [math.nan, math.inf])
+def test_line_solvers_reject_non_finite_coupling(bump, solver, k):
+    with pytest.raises(DomainError):
+        LINE_SOLVERS[solver](k, bump, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_on_grid_rejects_non_finite_times(bump, bad):
+    with pytest.raises(DomainError):
+        solve_on_grid(1.0, bump, [bad, 1.0], np.linspace(-1.0, 1.0, 5))
+
+
+def test_solve_on_grid_rows_equal_row_solves(bump):
+    times = [0.0, 0.4, 1.7]
+    xs = np.linspace(-3.0, 3.0, 31)
+    for regularized, solve in ((False, solve_cauchy), (True, solve_cauchy_regularized)):
+        field = solve_on_grid(1.3, bump, times, xs, regularized=regularized)
+        assert np.all(field.values[0] == 0.0)
+        for it, t in enumerate(times[1:], start=1):
+            assert np.array_equal(field.values[it], solve(1.3, bump, t, xs))
+
+
+@pytest.mark.parametrize("times, positions", [
+    ([0.0, math.nan], [0.0, 1.0]),
+    ([0.0, math.inf], [0.0, 1.0]),
+    ([1.0], [0.0, math.nan]),
+    ([1.0], [0.0, math.inf]),
+])
+def test_solution_field_rejects_non_finite_axes(times, positions):
+    with pytest.raises(DomainError):
+        SolutionField(times, positions, np.zeros((len(times), len(positions))), "quadrature")
+
+
+def test_line_solve_rejects_two_dimensional_positions(bump):
+    with pytest.raises(ConfigError):
+        solve_cauchy(1.0, bump, 1.0, np.zeros((2, 3)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liouwave import ConfigError, gauss_legendre, integrate
-from liouwave.quadrature import panel_points
+from liouwave.quadrature import panel_points, weighted_sum
 
 
 @pytest.mark.parametrize("order", [2, 4, 8, 16, 32])
@@ -52,3 +52,28 @@ def test_invalid_configs_rejected():
         panel_points(rule, 0.0, 1.0, panels=0)
     with pytest.raises(ConfigError):
         panel_points(rule, 1.0, 1.0, panels=1)
+
+
+def test_panel_points_rows_equal_single_intervals_bitwise():
+    rule = gauss_legendre(16)
+    rng = np.random.default_rng(4)
+    lo = rng.uniform(-3.0, 0.0, 12)
+    hi = lo + rng.uniform(1e-3, 4.0, 12)
+    pts, wts = panel_points(rule, lo, hi, 8)
+    assert pts.shape == wts.shape == (12, 128)
+    for i in range(12):
+        p, w = panel_points(rule, lo[i], hi[i], 8)
+        assert np.array_equal(pts[i], p) and np.array_equal(wts[i], w)
+    with pytest.raises(ConfigError):
+        panel_points(rule, lo, lo, 8)
+
+
+def test_weighted_sum_rows_equal_dot_bitwise():
+    rng = np.random.default_rng(6)
+    wts = rng.uniform(0.0, 1.0, (9, 128))
+    vals = rng.standard_normal((9, 128)) * np.exp(rng.uniform(-8.0, 8.0, (9, 128)))
+    rows = weighted_sum(wts, vals)
+    shared = weighted_sum(wts[0], vals)
+    for i in range(9):
+        assert rows[i] == np.dot(wts[i], vals[i])
+        assert shared[i] == np.dot(wts[0], vals[i])

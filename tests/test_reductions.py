@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad as adaptive_quad
+from scipy.special import i0e
 
 from liouwave import (
+    BumpProfile,
     ConfigError,
     DomainError,
     FDConfig,
@@ -116,3 +119,22 @@ def test_scaling_study_validation():
         ScalingStudy(lambdas=(0.1, 0.5))
     with pytest.raises(ConfigError):
         ScalingStudy(lambdas=(0.5,), samples=((1.0, 2.0, 0.0),))
+
+
+def test_telegraph_heavy_damping_is_finite_and_matches_quadrature():
+    # e^{-damping t} alone underflows and I0(mass r) alone overflows here
+    params = TelegraphParams(2000.0, 0.0)
+    f = BumpProfile(-1.0, 1.0)
+    t = 1.0
+    m, d = params.mass, params.damping
+    for x in (0.0, 0.3, -0.5, 0.9):
+        value = telegraph_solve(params, f, t, x)
+        assert math.isfinite(value) and value > 0.0
+
+        def integrand(xp):
+            r = math.sqrt(t * t - (x - xp) ** 2)
+            return 0.5 * i0e(m * r) * math.exp(m * r - d * t) * f(xp)
+
+        ref, _ = adaptive_quad(integrand, max(x - t, -1.0), min(x + t, 1.0), points=[x],
+                               epsabs=0.0, epsrel=1e-13, limit=400)
+        assert value == pytest.approx(ref, rel=1e-9)
