@@ -4,6 +4,15 @@ Brute-force second-order schemes for the 1-D wave equation with an
 arbitrary potential and for the damped transmission-line equation.  These
 share nothing with the kernel route, which is the point: agreement between
 the two is the library's strongest correctness evidence.
+
+Only the numerical light cone is stepped.  The three-point stencil moves
+information one cell per step, so at step n a cell more than n cells from
+the span of the nonzero startup level u^1 still reads +0.0 in all three
+cells it depends on, and the update maps such zeros to exactly +0.0.  Step
+n therefore updates the window [lo0 - n, hi0 + n) around that span and
+leaves the rest of the domain at the +0.0 the full-domain step would write
+there: the result is bitwise the same, at a cost that grows with the cone
+instead of the padded domain (Courant, Friedrichs & Lewy, Math. Ann. 1928).
 """
 
 from __future__ import annotations
@@ -73,33 +82,44 @@ class FDConfig:
             )
 
 
-def _laplacian(u: np.ndarray, inv_dx2: float) -> np.ndarray:
-    lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-    return lap
+def _leapfrog_update(u_next, u, u_prev, lo, hi, dt, inv_dx2, potential_grid, half_damping,
+                     scratch):
+    """Write level n+1 on the cells [lo, hi) of u_next from levels n and n-1.
+
+    Computes dt^2 (u_xx - V u) + 2u - u_prev with the three-point
+    Laplacian.  Given half_damping = (a+b) dt / 2, it then adds
+    half_damping * u_prev and divides by 1 + half_damping: the damping of
+    v_tt + (a+b) v_t + ab v = v_xx centered in time, with V = ab.  The
+    v_next coefficient 1/dt^2 + (a+b)/(2dt) is positive, so the update is
+    always well defined.  Every value is bitwise what a full-domain step
+    gives the cell, as the operations and their order are the same.
+    scratch is a (2, >= hi - lo) work array.
+    """
+    c = u[lo:hi]
+    acc = u_next[lo:hi]
+    twice = scratch[0, : hi - lo]
+    work = scratch[1, : hi - lo]
+    np.multiply(c, 2.0, out=twice)
+    np.subtract(u[lo + 1 : hi + 1], twice, out=acc)
+    np.add(acc, u[lo - 1 : hi - 1], out=acc)
+    np.multiply(acc, inv_dx2, out=acc)
+    np.multiply(potential_grid[lo:hi], c, out=work)
+    np.subtract(acc, work, out=acc)
+    np.multiply(acc, dt * dt, out=acc)
+    np.add(acc, twice, out=acc)
+    np.subtract(acc, u_prev[lo:hi], out=acc)
+    if half_damping is not None:
+        np.multiply(u_prev[lo:hi], half_damping, out=work)
+        np.add(acc, work, out=acc)
+        np.divide(acc, 1.0 + half_damping, out=acc)
 
 
 def wave_step(u, u_prev, dt, inv_dx2, potential_grid):
-    """One leapfrog step of u_tt = u_xx - V(x) u with Dirichlet ends."""
-    u_next = dt * dt * (_laplacian(u, inv_dx2) - potential_grid * u) + 2.0 * u - u_prev
-    u_next[0] = 0.0
-    u_next[-1] = 0.0
+    """One full-domain leapfrog step of u_tt = u_xx - V(x) u with Dirichlet ends."""
+    u_next = np.zeros_like(u)
+    _leapfrog_update(u_next, u, u_prev, 1, len(u) - 1, dt, inv_dx2, potential_grid, None,
+                     np.empty((2, len(u))))
     return u_next
-
-
-def telegraph_step(v, v_prev, dt, inv_dx2, damping_sum, mass_product):
-    """One leapfrog step of v_tt + (a+b) v_t + ab v = v_xx, damping centered in time.
-
-    The v_next coefficient 1/dt^2 + (a+b)/(2dt) is positive, so the update
-    is always well defined; with a = b = 0 the arithmetic reduces exactly
-    to wave_step with zero potential.
-    """
-    hs = 0.5 * damping_sum * dt
-    num = dt * dt * (_laplacian(v, inv_dx2) - mass_product * v) + 2.0 * v - v_prev + hs * v_prev
-    v_next = num / (1.0 + hs)
-    v_next[0] = 0.0
-    v_next[-1] = 0.0
-    return v_next
 
 
 def _snap_record_times(record_times, dt: float, n_steps: int) -> dict[int, float]:
@@ -107,13 +127,19 @@ def _snap_record_times(record_times, dt: float, n_steps: int) -> dict[int, float
     for rt in record_times:
         if not (math.isfinite(rt) and rt >= 0.0):
             raise ConfigError(f"record times must be >= 0, got {rt!r}")
-        idx = min(max(int(round(rt / dt)), 0), n_steps)
+        idx = int(round(rt / dt))
+        if idx > n_steps:
+            raise ConfigError(
+                f"record time {rt!r} lies beyond t_final = {n_steps * dt!r} (step {dt!r})"
+            )
         snapped[idx] = idx * dt
     return snapped
 
 
-def _run_leapfrog(step, f, cfg: FDConfig, record_times, startup_scale=None) -> SolutionField:
+def _run_leapfrog(f, cfg: FDConfig, record_times, potential_grid,
+                  damping_sum: float | None = None) -> SolutionField:
     x = cfg.grid()
+    n_cells = len(x)
     dx = float(x[1] - x[0])
     inv_dx2 = 1.0 / (dx * dx)
     n_steps = cfg.step_count()
@@ -122,9 +148,16 @@ def _run_leapfrog(step, f, cfg: FDConfig, record_times, startup_scale=None) -> S
         record_times = [cfg.t_final]
     snapped = _snap_record_times(record_times, dt, n_steps)
 
-    scale = 1.0 if startup_scale is None else float(startup_scale(dt))
+    half_damping = None if damping_sum is None else 0.5 * damping_sum * dt
+    scale = 1.0 if half_damping is None else 1.0 - half_damping
     u_prev = np.zeros_like(x)
     u = dt * scale * f(x)
+    spare = np.zeros_like(x)
+    scratch = np.empty((2, n_cells))
+
+    # the startup span: the cells of u^1 that are not +0.0 (-0.0 and NaN count)
+    live = np.flatnonzero((u != 0.0) | np.signbit(u))
+    first, last = (int(live[0]), int(live[-1]) + 1) if live.size else (0, 0)
 
     recorded: dict[int, np.ndarray] = {}
     if 0 in snapped:
@@ -132,10 +165,20 @@ def _run_leapfrog(step, f, cfg: FDConfig, record_times, startup_scale=None) -> S
     if 1 in snapped:
         recorded[1] = u.copy()
     max_abs = float(np.max(np.abs(u)))
+    cell_updates = 0
     for n in range(1, n_steps):
-        u_next = step(u, u_prev, dt, inv_dx2)
-        u_prev, u = u, u_next
-        max_abs = max(max_abs, float(np.max(np.abs(u))))
+        u_next = spare
+        lo, hi = max(first - n, 1), min(last + n, n_cells - 1)
+        if live.size and lo < hi:
+            _leapfrog_update(u_next, u, u_prev, lo, hi, dt, inv_dx2, potential_grid,
+                             half_damping, scratch)
+            cell_updates += hi - lo
+            magnitude = np.abs(u_next[lo:hi], out=scratch[0, : hi - lo])
+            max_abs = max(max_abs, float(np.max(magnitude)))
+        # u^1 may be nonzero on the ends, and its buffer comes back as u^4
+        u_next[0] = 0.0
+        u_next[-1] = 0.0
+        u_prev, u, spare = u, u_next, u_prev
         if n + 1 in snapped:
             recorded[n + 1] = u.copy()
 
@@ -151,6 +194,7 @@ def _run_leapfrog(step, f, cfg: FDConfig, record_times, startup_scale=None) -> S
             "steps": n_steps,
             "max_abs": max_abs,
             "final_pair": (u_prev, u),
+            "cell_updates": cell_updates,
         },
     )
 
@@ -167,13 +211,14 @@ def fd_wave_solve(potential, f: InitialProfile, cfg: FDConfig, record_times=None
     v_grid = np.asarray(potential(x), dtype=float)
     if v_grid.ndim == 0:
         v_grid = np.full_like(x, float(v_grid))
+    if v_grid.shape != x.shape:
+        raise ConfigError(
+            f"potential must give one value per grid position, shape {x.shape}; "
+            f"got shape {v_grid.shape}"
+        )
     if not np.all(np.isfinite(v_grid)):
         raise DomainError("potential must be finite on the whole grid")
-
-    def step(u, u_prev, dt, inv_dx2):
-        return wave_step(u, u_prev, dt, inv_dx2, v_grid)
-
-    return _run_leapfrog(step, f, cfg, record_times)
+    return _run_leapfrog(f, cfg, record_times, v_grid)
 
 
 def fd_telegraph_solve(params, f: InitialProfile, cfg: FDConfig, record_times=None) -> SolutionField:
@@ -189,12 +234,5 @@ def fd_telegraph_solve(params, f: InitialProfile, cfg: FDConfig, record_times=No
     """
     cfg.check_padding(f)
     damping_sum = float(params.alpha + params.beta)
-    mass_product = float(params.alpha * params.beta)
-
-    def step(v, v_prev, dt, inv_dx2):
-        return telegraph_step(v, v_prev, dt, inv_dx2, damping_sum, mass_product)
-
-    return _run_leapfrog(
-        step, f, cfg, record_times,
-        startup_scale=lambda dt: 1.0 - 0.5 * damping_sum * dt,
-    )
+    mass_grid = np.full_like(cfg.grid(), float(params.alpha * params.beta))
+    return _run_leapfrog(f, cfg, record_times, mass_grid, damping_sum)

@@ -143,3 +143,51 @@ def regularized_row_per_point(k: float, f, t: float, xs, rule, panels: int = 8) 
         jacobian = sh / np.sqrt(1.0 + (zpts * sh) ** 2)
         out.append(float(np.dot(wts, total * jacobian)))
     return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# full-domain leapfrog: every cell of the padded domain, a new array a step
+
+
+def leapfrog_full_domain(f, cfg, potential, damping_sum=None, record_times=None):
+    """Literal leapfrog over the whole padded domain, allocating every level.
+
+    damping_sum = None is the undamped wave equation with potential the
+    grid values of V; otherwise the damped line with potential the number
+    alpha * beta.
+    Returns (times, values, max_abs, final_pair).
+    """
+    x = cfg.grid()
+    dx = float(x[1] - x[0])
+    inv_dx2 = 1.0 / (dx * dx)
+    n_steps = cfg.step_count()
+    dt = cfg.time_step()
+    hs = None if damping_sum is None else 0.5 * damping_sum * dt
+    if record_times is None:
+        record_times = [cfg.t_final]
+    snapped = {}
+    for rt in record_times:
+        idx = int(round(rt / dt))
+        snapped[idx] = idx * dt
+
+    u_prev = np.zeros_like(x)
+    u = dt * (1.0 if hs is None else 1.0 - hs) * f(x)
+    recorded = {i: level.copy() for i, level in ((0, u_prev), (1, u)) if i in snapped}
+    max_abs = float(np.max(np.abs(u)))
+    for n in range(1, n_steps):
+        lap = np.zeros_like(u)
+        lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        if hs is None:
+            u_next = dt * dt * (lap - potential * u) + 2.0 * u - u_prev
+        else:
+            num = dt * dt * (lap - potential * u) + 2.0 * u - u_prev + hs * u_prev
+            u_next = num / (1.0 + hs)
+        u_next[0] = 0.0
+        u_next[-1] = 0.0
+        u_prev, u = u, u_next
+        max_abs = max(max_abs, float(np.max(np.abs(u))))
+        if n + 1 in snapped:
+            recorded[n + 1] = u.copy()
+    indices = sorted(snapped)
+    return (np.array([snapped[i] for i in indices]), np.vstack([recorded[i] for i in indices]),
+            max_abs, (u_prev, u))

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from liouwave import (
+    BumpProfile,
     ConfigError,
     FDConfig,
     TelegraphParams,
     fd_telegraph_solve,
     fd_wave_solve,
 )
+from liouwave import fd_oracle
 from liouwave.fd_oracle import wave_step
-from oracles import dalembert_value
+from oracles import dalembert_value, leapfrog_full_domain
 
 
 def _free_wave_cfg(dx=2e-3, t_final=1.0):
@@ -125,3 +127,115 @@ def test_record_times_snap_to_steps(bump):
         assert abs(t / dt - round(t / dt)) <= 1e-9
     assert abs(field.times[0] - 0.3) <= dt
     assert abs(field.times[1] - 0.7) <= dt
+
+
+class _NonzeroEverywhere:
+    """exp(-x^2): nonzero on every node, ends included, despite its nominal support."""
+
+    support = (-1.0, 1.0)
+
+    def __call__(self, x):
+        return np.exp(-x * x)
+
+
+def _exp_potential(x):
+    return np.exp(2.0 * x)
+
+
+_SMALL = FDConfig(x_min=-3.5, x_max=3.5, dx=5e-3, t_final=1.0)
+_COARSE = FDConfig(x_min=-3.0, x_max=3.0, dx=1e-2, t_final=1.0)
+# the domain is padded by exactly t_final + 1, and with cfl 0.9 the window
+# grows faster than the physical cone, so it reaches both Dirichlet ends
+_LONG = FDConfig(x_min=-14.0, x_max=14.0, dx=0.05, t_final=12.0)
+
+# (potential or (alpha, beta), profile, config, record times)
+_WINDOW_CASES = {
+    "exp-potential": (_exp_potential, None, _SMALL, None),
+    "zero-potential": (lambda x: 0.0 * x, None, _SMALL, None),
+    "constant-potential": (lambda x: 2.0, None, _SMALL, (0.5, 1.0)),
+    "telegraph-1-1": ((1.0, 1.0), None, _SMALL, (0.5, 1.0)),
+    "telegraph-2-0": ((2.0, 0.0), None, _SMALL, (0.5, 1.0)),
+    "telegraph-0.5-1.5": ((0.5, 1.5), None, _SMALL, (0.5, 1.0)),
+    "record-0-dt-t_final": (_exp_potential, None, _SMALL, (0.0, _SMALL.time_step(), 1.0)),
+    "asymmetric-support": (_exp_potential, BumpProfile(-0.3, 1.7),
+                           FDConfig(x_min=-2.8, x_max=4.5, dx=5e-3, t_final=1.5), (0.2, 1.5)),
+    "cfl-0.5": (_exp_potential, None,
+                FDConfig(x_min=-3.5, x_max=3.5, dx=5e-3, t_final=1.0, cfl_safety=0.5), None),
+    "reaches-both-ends": (lambda x: 0.1 * np.exp(0.1 * x), None, _LONG, (0.0, 6.0, 12.0)),
+    "reaches-both-ends-telegraph": ((0.5, 1.5), None, _LONG, (6.0, 12.0)),
+    "zero-on-every-node": (_exp_potential, BumpProfile(0.0101, 0.0109), _COARSE, (0.0, 1.0)),
+    "nonzero-on-every-node": (_exp_potential, _NonzeroEverywhere(), _COARSE, (0.5, 1.0)),
+}
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("case", list(_WINDOW_CASES))
+def test_light_cone_window_is_bitwise_the_full_domain_loop(bump, case):
+    equation, profile, cfg, record_times = _WINDOW_CASES[case]
+    profile = profile or bump
+    if callable(equation):
+        field = fd_wave_solve(equation, profile, cfg, record_times)
+        ref = leapfrog_full_domain(profile, cfg, equation(cfg.grid()), None, record_times)
+    else:
+        alpha, beta = equation
+        field = fd_telegraph_solve(TelegraphParams(alpha, beta), profile, cfg, record_times)
+        ref = leapfrog_full_domain(profile, cfg, alpha * beta, alpha + beta, record_times)
+    times, values, max_abs, (prev, cur) = ref
+    assert _same_bits(field.times, times)
+    assert _same_bits(field.values, values)
+    assert field.attrs["max_abs"] == max_abs
+    assert _same_bits(field.attrs["final_pair"][0], prev)
+    assert _same_bits(field.attrs["final_pair"][1], cur)
+    if case == "zero-on-every-node":
+        assert not np.any(field.values) and field.attrs["cell_updates"] == 0
+    if case.startswith("reaches-both-ends"):
+        live = np.flatnonzero(profile(field.positions))
+        last_step = field.attrs["steps"] - 1
+        assert live[0] - last_step <= 1
+        assert live[-1] + 1 + last_step >= len(field.positions) - 1
+
+
+def test_cell_updates_count_the_window(liouville_fd_field, bump):
+    field = liouville_fd_field
+    steps, n_cells = field.attrs["steps"], len(field.positions)
+    # the bump is positive on one run of nodes, well inside the padding,
+    # so step n updates that run widened by n cells on each side
+    span = np.count_nonzero(bump(field.positions))
+    assert field.attrs["cell_updates"] == sum(span + 2 * n for n in range(1, steps))
+    assert field.attrs["cell_updates"] < (steps - 1) * (n_cells - 2)
+
+    everywhere = fd_wave_solve(_exp_potential, _NonzeroEverywhere(), _COARSE)
+    steps, n_cells = everywhere.attrs["steps"], len(everywhere.positions)
+    assert everywhere.attrs["cell_updates"] == (steps - 1) * (n_cells - 2)
+
+
+def _no_step(*args):
+    raise AssertionError("the leapfrog stepped before rejecting its input")
+
+
+@pytest.mark.parametrize("potential", [
+    lambda x: np.exp(2.0 * x)[:, None],
+    lambda x: np.exp(2.0 * x)[:-1],
+], ids=["column", "one-short"])
+def test_potential_of_wrong_shape_rejected_before_stepping(bump, monkeypatch, potential):
+    monkeypatch.setattr(fd_oracle, "_leapfrog_update", _no_step)
+    with pytest.raises(ConfigError, match="one value per grid position"):
+        fd_wave_solve(potential, bump, _free_wave_cfg())
+
+
+@pytest.mark.parametrize("solve", [
+    lambda f, cfg, rts: fd_wave_solve(lambda x: 0.0 * x, f, cfg, rts),
+    lambda f, cfg, rts: fd_telegraph_solve(TelegraphParams(1.0, 1.0), f, cfg, rts),
+], ids=["wave", "telegraph"])
+def test_record_time_beyond_t_final_rejected_before_stepping(bump, monkeypatch, solve):
+    cfg = _free_wave_cfg(dx=1e-2)
+    with monkeypatch.context() as patch:
+        patch.setattr(fd_oracle, "_leapfrog_update", _no_step)
+        with pytest.raises(ConfigError, match="beyond t_final"):
+            solve(bump, cfg, [2.0])
+    # within half a step of t_final the time still snaps to t_final
+    field = solve(bump, cfg, [cfg.t_final + 0.4 * cfg.time_step()])
+    assert field.times[0] == cfg.step_count() * cfg.time_step()
