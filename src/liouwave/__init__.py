@@ -52,17 +52,6 @@ from .reductions import (
     scaling_limit_gap,
     telegraph_solve,
 )
-from .specfun import (
-    EULER_GAMMA,
-    EvalAccuracy,
-    I0_ACCURACY,
-    J0_ACCURACY,
-    Y0_ACCURACY,
-    asinh,
-    bessel_i0,
-    bessel_j0,
-    bessel_y0,
-)
 
 __version__ = "0.1.0"
 
@@ -75,15 +64,11 @@ __all__ = [
     "DEFAULT_SCALING_SAMPLES",
     "DISK_KERNEL_NORM",
     "DomainError",
-    "EULER_GAMMA",
-    "EvalAccuracy",
     "FDConfig",
     "FunctionProfile",
     "HyperbolicPoint",
     "HyperbolicProfile",
-    "I0_ACCURACY",
     "InitialProfile",
-    "J0_ACCURACY",
     "KernelPartials",
     "QuadratureRule",
     "SampledProfile",
@@ -92,11 +77,6 @@ __all__ = [
     "SingularityError",
     "SolutionField",
     "TelegraphParams",
-    "Y0_ACCURACY",
-    "asinh",
-    "bessel_i0",
-    "bessel_j0",
-    "bessel_y0",
     "bump_profile_2d",
     "constant_potential_solve",
     "disk_kernel_mass",

@@ -53,18 +53,39 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _number(text: str, flag: str, kind=float):
+    """One number of ``flag``; malformed or non-finite text is a ConfigError naming both."""
     try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects a comma-separated list of numbers: {exc}")
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{flag} expects {expected}, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    """``type`` of the float flags; argparse reports 'argument --flag: <message>'."""
+    try:
+        return _number(text, "value")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _parse_floats(text: str, flag: str) -> list[float]:
+    values = [_number(p, flag) for p in text.split(",") if p != ""]
+    if not values:
+        raise ConfigError(f"{flag} expects a comma-separated list of numbers, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--x-grid expects min:max:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    lo, hi = _number(parts[0], "--x-grid"), _number(parts[1], "--x-grid")
+    count = _number(parts[2], "--x-grid", int)
     if count < 1 or (count > 1 and not hi > lo):
         raise ConfigError(f"--x-grid needs min < max and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -76,14 +97,14 @@ def _parse_profile(text: str, two_dim: bool = False):
         parts = rest.split(":")
         if len(parts) != 2:
             raise ConfigError(f"bump profile expects bump:a:b, got {text!r}")
-        return BumpProfile(float(parts[0]), float(parts[1]))
+        return BumpProfile(*(_number(p, "--profile") for p in parts))
     if kind == "file" and not two_dim:
         return read_profile_csv(rest)
     if kind == "bump2" and two_dim:
         parts = rest.split(":")
         if len(parts) != 4:
             raise ConfigError(f"2-D bump expects bump2:x0:x1:y0:y1, got {text!r}")
-        return bump_profile_2d(*(float(p) for p in parts))
+        return bump_profile_2d(*(_number(p, "--profile") for p in parts))
     expected = "bump2:x0:x1:y0:y1" if two_dim else "bump:a:b or file:PATH"
     raise ConfigError(f"profile {text!r} not recognized; expected {expected}")
 
@@ -92,7 +113,7 @@ def _parse_point(text: str) -> HyperbolicPoint:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError(f"--w expects X,Y, got {text!r}")
-    return HyperbolicPoint(float(parts[0]), float(parts[1]))
+    return HyperbolicPoint(*(_number(p, "--w") for p in parts))
 
 
 def _echo(args: argparse.Namespace, skip=("out", "format", "no_timestamp", "func")) -> str:
@@ -240,6 +261,8 @@ def _cmd_limit_study(args, started):
 def _cmd_convergence(args, started):
     profile = _parse_profile(args.profile)
     times = _check_times(_parse_floats(args.t, "--t"))
+    if len(times) != 1:
+        raise ConfigError(f"convergence study takes exactly one --t, got {args.t!r}")
     t = times[0]
     if t <= 0.0:
         raise ConfigError("convergence study needs t > 0")
@@ -288,28 +311,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval-kernel", help="evaluate the light-cone wave kernel on a grid")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--t", required=True, help="comma-separated times")
     p.add_argument("--x-grid", required=True, help="min:max:count")
-    p.add_argument("--xp", type=float, default=0.0, help="source position")
-    p.add_argument("--coef-a", type=float, default=1.0, help="first-kind branch weight")
-    p.add_argument("--coef-b", type=float, default=0.0, help="second-kind branch weight")
+    p.add_argument("--xp", type=_finite, default=0.0, help="source position")
+    p.add_argument("--coef-a", type=_finite, default=1.0, help="first-kind branch weight")
+    p.add_argument("--coef-b", type=_finite, default=0.0, help="second-kind branch weight")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_eval_kernel)
 
     p = sub.add_parser("solve", help="exponential-potential Cauchy solve on a grid")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--regularized", action="store_true",
                    help="use the substituted fixed-interval form")
     _add_line_flags(p)
 
     p = sub.add_parser("solve-const", help="constant-potential Cauchy solve on a grid")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     _add_line_flags(p)
 
     p = sub.add_parser("solve-telegraph", help="transmission-line solve on a grid")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, required=True)
+    p.add_argument("--beta", type=_finite, required=True)
     _add_line_flags(p)
 
     p = sub.add_parser("solve-hyperbolic", help="half-plane wave solve at a point")
@@ -325,24 +348,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="comma-separated suite names or 'all' "
                         f"(available: {', '.join(sorted(SUITES))})")
-    p.add_argument("--dx", type=float, default=None,
+    p.add_argument("--dx", type=_finite, default=None,
                    help="mesh override for the finite-difference suites")
-    p.add_argument("--dt", type=float, default=None,
+    p.add_argument("--dt", type=_finite, default=None,
                    help="time-step override for the finite-difference suites")
-    p.add_argument("--cfl", type=float, default=None,
+    p.add_argument("--cfl", type=_finite, default=None,
                    help="stability-safety override for the finite-difference suites")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("limit-study", help="rescaled-kernel gap per scale factor")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--lambdas", default="0.5,0.1,0.01",
                    help="comma-separated decreasing scales")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_limit_study)
 
     p = sub.add_parser("convergence", help="raw vs substituted gap under panel doubling")
-    p.add_argument("--k", type=float, required=True)
+    p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--x-grid", required=True)

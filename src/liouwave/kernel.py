@@ -14,9 +14,9 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import j0 as _j0, y0 as _y0
 
 from .errors import DomainError, SingularityError, require_finite
-from .specfun import bessel_j0, bessel_y0
 
 __all__ = [
     "kernel_argument",
@@ -101,12 +101,12 @@ def wave_kernel(t: float, x: float, xp: float, k: float, a: float = 1.0, b: floa
     require_finite("wave_kernel", a=a, b=b)
     z = kernel_argument(t, x, xp, k)
     if b == 0.0:
-        return a * bessel_j0(z)
+        return a * float(_j0(z))
     if z == 0.0:
         raise SingularityError(
             "second-kind branch is singular on the light cone (kernel argument 0)"
         )
-    return a * bessel_j0(z) + b * bessel_y0(z)
+    return a * float(_j0(z)) + b * float(_y0(z))
 
 
 def pde_residual(

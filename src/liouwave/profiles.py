@@ -125,7 +125,7 @@ def read_profile_csv(path) -> SampledProfile:
     nodes, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -139,8 +139,14 @@ def read_profile_csv(path) -> SampledProfile:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ConfigError(f"profile CSV rows need two columns, got {line!r}")
-            nodes.append(float(parts[0]))
-            values.append(float(parts[1]))
+            try:
+                x, f = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ConfigError(
+                    f"profile CSV line {lineno} is not two numbers: {line!r}"
+                ) from None
+            nodes.append(x)
+            values.append(f)
     nodes = np.asarray(nodes)
     values = np.asarray(values)
     nonzero = np.nonzero(values)[0]

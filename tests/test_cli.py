@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from liouwave import BumpProfile, write_profile_csv
 from liouwave.cli import main
@@ -174,6 +175,44 @@ def test_usage_and_config_errors_exit_one(capsys):
     assert main(["solve", "--k", "1"]) == 1
     assert main(["verify", "--suite", "no-such-suite"]) == 1
     capsys.readouterr()
+
+
+_LINE = ["solve", "--k", "1", "--profile", "bump:-1:1", "--t", "1", "--x-grid", "0:1:3"]
+_KERNEL = ["eval-kernel", "--k", "1", "--t", "1", "--x-grid", "0:1:3"]
+_DISK = ["solve-hyperbolic", "--profile", "bump2:-1:1:1:2", "--w", "0,1.4", "--t", "1"]
+_CONVERGENCE = ["convergence", "--k", "1", "--profile", "bump:-1:1", "--t", "1",
+                "--x-grid", "0:1:3"]
+
+
+def _with(argv, flag, value):
+    out = list(argv)
+    out[out.index(flag) + 1] = value
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    _with(_LINE, "--x-grid", "a:b:3"),
+    _with(_LINE, "--x-grid", "0:1:2.5"),
+    _with(_LINE, "--profile", "bump:x:1"),
+    _with(_LINE, "--profile", "file:{bad_csv}"),
+    _with(_DISK, "--profile", "bump2:-1:1:1:y"),
+    _with(_DISK, "--w", "a,1"),
+    _with(_CONVERGENCE, "--t", ","),
+    _with(_CONVERGENCE, "--t", "1,2"),
+    _with(_KERNEL, "--k", "nan"),
+    _with(_KERNEL, "--t", "nan"),
+    _KERNEL + ["--xp", "inf"],
+    _with(_KERNEL, "--x-grid", "-inf:1:3"),
+], ids=lambda argv: " ".join(argv))
+def test_malformed_or_non_finite_numbers_exit_one(argv, tmp_path, capsys):
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("X,f\n0,0\n0.5,abc\n1,0\n", encoding="utf-8")
+    rc = main([a.format(bad_csv=bad_csv) for a in argv] + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert any(line.startswith("error:") for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_negative_grid_bounds_accepted_with_space_syntax(tmp_path):

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from liouwave import (
     DomainError,
     SingularityError,
-    bessel_j0,
     kernel_argument,
     kernel_argument_partials,
     pde_residual,
@@ -106,7 +106,7 @@ def test_wave_kernel_first_kind_values():
     assert wave_kernel(1.0, 0.3, -0.7, 5.0) == 1.0  # on the cone, J0(0)
     z = kernel_argument(1.0, 0.0, 0.0, 1.0)
     assert wave_kernel(1.0, 0.0, 0.0, 1.0) == pytest.approx(j0_series(z), abs=1e-14)
-    assert wave_kernel(1.0, 0.0, 0.0, 1.0) == bessel_j0(z)
+    assert wave_kernel(1.0, 0.0, 0.0, 1.0) == j0(z)
 
 
 def test_wave_kernel_second_kind_singular_on_cone():
@@ -114,6 +114,12 @@ def test_wave_kernel_second_kind_singular_on_cone():
         wave_kernel(1.0, 0.3, -0.7, 5.0, a=0.0, b=1.0)
     val = wave_kernel(2.0, 0.0, 0.3, 1.0, a=0.25, b=-0.5)
     assert math.isfinite(val)
+
+
+@pytest.mark.parametrize("a, b", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)])
+def test_wave_kernel_rejects_non_finite_weights(a, b):
+    with pytest.raises(DomainError):
+        wave_kernel(2.0, 0.0, 0.3, 1.0, a=a, b=b)
 
 
 def test_pde_residual_small_for_both_branches():
