@@ -13,20 +13,21 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
-from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .hyperbolic import (
+    DEFAULT_N_THETA,
     HyperbolicPoint,
+    _check_disk_rule,
     bump_profile_2d,
     hyperbolic_solve,
 )
 from .kernel import wave_kernel
 from .profiles import BumpProfile, read_profile_csv
-from .propagator import solve_cauchy, solve_cauchy_regularized
-from .quadrature import gauss_legendre
+from .propagator import DEFAULT_PANELS, solve_cauchy, solve_cauchy_regularized, solve_on_grid
+from .quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
 from .reductions import (
     ScalingStudy,
     TelegraphParams,
@@ -176,43 +177,28 @@ def _cmd_eval_kernel(args, started):
     return EXIT_OK
 
 
-def _check_times(times):
-    if any(t < 0.0 for t in times):
-        raise ConfigError("--t values must be >= 0")
-    return times
-
-
-# line-solve command -> its row solver (profile, t, positions, rule, panels),
-# with the coupling bound from the parsed flags
-_LINE_SOLVERS = {
-    "solve": lambda args: partial(
-        solve_cauchy_regularized if args.regularized else solve_cauchy, args.k),
-    "solve-const": lambda args: partial(constant_potential_solve, args.k),
-    "solve-telegraph": lambda args: partial(
-        telegraph_solve, TelegraphParams(args.alpha, args.beta)),
-}
-
-
 def _cmd_solve_line(args, started):
-    solve = _LINE_SOLVERS[args.command](args)
+    if args.command == "solve-telegraph":
+        solver, coupling = telegraph_solve, TelegraphParams(args.alpha, args.beta)
+    elif args.command == "solve-const":
+        solver, coupling = constant_potential_solve, args.k
+    else:
+        solver, coupling = (solve_cauchy_regularized if args.regularized else solve_cauchy), args.k
     profile = _parse_profile(args.profile)
-    times = _check_times(_parse_floats(args.t, "--t"))
-    xs = _parse_grid(args.x_grid)
-    rule = gauss_legendre(args.quad_order)
-    rows = []
-    for t in times:
-        values = np.zeros(len(xs)) if t == 0.0 else solve(profile, t, xs, rule, args.panels)
-        rows.extend((t, float(x), v) for x, v in zip(xs, values))
-    provenance = "regularized" if getattr(args, "regularized", False) else "quadrature"
-    _write_record(args, ("t", "X", "value"), rows, provenance, started)
+    field = solve_on_grid(coupling, profile, _parse_floats(args.t, "--t"), _parse_grid(args.x_grid),
+                          gauss_legendre(args.quad_order), args.panels, solver)
+    xs = field.positions.tolist()
+    rows = [(t, x, v) for t, row in zip(field.times.tolist(), field.values.tolist())
+            for x, v in zip(xs, row)]
+    _write_record(args, ("t", "X", "value"), rows, field.provenance, started)
     return EXIT_OK
 
 
 def _cmd_solve_hyperbolic(args, started):
     profile = _parse_profile(args.profile, two_dim=True)
-    times = _check_times(_parse_floats(args.t, "--t"))
+    times = _parse_floats(args.t, "--t")
     w = _parse_point(args.w)
-    rule = gauss_legendre(args.quad_order)
+    rule = _check_disk_rule(gauss_legendre(args.quad_order), args.panels, args.ntheta)
     rows = []
     for t in times:
         value = 0.0 if t == 0.0 else hyperbolic_solve(
@@ -260,12 +246,12 @@ def _cmd_limit_study(args, started):
 
 def _cmd_convergence(args, started):
     profile = _parse_profile(args.profile)
-    times = _check_times(_parse_floats(args.t, "--t"))
+    times = _parse_floats(args.t, "--t")
     if len(times) != 1:
         raise ConfigError(f"convergence study takes exactly one --t, got {args.t!r}")
+    if args.max_panels < 1:
+        raise ConfigError(f"--max-panels must be >= 1, got {args.max_panels}")
     t = times[0]
-    if t <= 0.0:
-        raise ConfigError("convergence study needs t > 0")
     xs = _parse_grid(args.x_grid)
     rule = gauss_legendre(args.quad_order)
     rows = []
@@ -292,12 +278,12 @@ def _add_output_flags(p):
 
 
 def _add_quad_flags(p):
-    p.add_argument("--quad-order", type=int, default=16)
-    p.add_argument("--panels", type=int, default=8)
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
+    p.add_argument("--panels", type=int, default=DEFAULT_PANELS)
 
 
 def _add_line_flags(p):
-    """Flags shared by the line-solve commands, which _LINE_SOLVERS dispatches."""
+    """Flags shared by the line-solve commands, which _cmd_solve_line dispatches."""
     p.add_argument("--profile", required=True, help="bump:a:b or file:PATH")
     p.add_argument("--t", required=True, help="comma-separated times")
     p.add_argument("--x-grid", required=True, help="min:max:count")
@@ -339,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help="bump2:x0:x1:y0:y1")
     p.add_argument("--w", required=True, help="observation point X,Y (Y > 0)")
     p.add_argument("--t", required=True)
-    p.add_argument("--ntheta", type=int, default=64, help="angular quadrature nodes")
+    p.add_argument("--ntheta", type=int, default=DEFAULT_N_THETA, help="angular quadrature nodes")
     _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_solve_hyperbolic)

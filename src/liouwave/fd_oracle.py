@@ -114,14 +114,6 @@ def _leapfrog_update(u_next, u, u_prev, lo, hi, dt, inv_dx2, potential_grid, hal
         np.divide(acc, 1.0 + half_damping, out=acc)
 
 
-def wave_step(u, u_prev, dt, inv_dx2, potential_grid):
-    """One full-domain leapfrog step of u_tt = u_xx - V(x) u with Dirichlet ends."""
-    u_next = np.zeros_like(u)
-    _leapfrog_update(u_next, u, u_prev, 1, len(u) - 1, dt, inv_dx2, potential_grid, None,
-                     np.empty((2, len(u))))
-    return u_next
-
-
 def _snap_record_times(record_times, dt: float, n_steps: int) -> dict[int, float]:
     snapped: dict[int, float] = {}
     for rt in record_times:

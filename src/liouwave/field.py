@@ -42,12 +42,6 @@ class SolutionField:
         if len(self.times) and self.times[0] == 0.0 and np.any(self.values[0] != 0.0):
             raise ConfigError("zero initial displacement: the t = 0 row must vanish")
 
-    def time_index(self, t: float, tol: float = 1e-9) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > tol:
-            raise KeyError(f"no recorded time within {tol} of {t}")
-        return idx
-
     def position_index(self, x: float) -> int:
         """Index of the grid position nearest to x."""
         return int(np.argmin(np.abs(self.positions - x)))

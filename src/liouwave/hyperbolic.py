@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SeparabilityError
 from .profiles import FunctionProfile, InitialProfile
-from .propagator import DEFAULT_PANELS, _check_solve_args, solve_cauchy
+from .propagator import DEFAULT_PANELS, _check_rule, _check_time, solve_cauchy
 from .quadrature import QuadratureRule, panel_points, weighted_sum
 
 # Normalization of the disk kernel.  The radial integral of the kernel
@@ -120,21 +120,6 @@ class HyperbolicProfile:
             out[inside] = np.asarray(self.func(xb[inside], yb[inside]), dtype=float)
         return out
 
-    def translated(self, shift: float) -> "HyperbolicProfile":
-        """Profile translated horizontally by shift (an isometry of the plane)."""
-        x0, x1, y0, y1 = self.box
-        x_part = None
-        if self.x_part is not None:
-            a, b = self.x_part.support
-            inner = self.x_part
-            x_part = FunctionProfile(lambda s: inner(s - shift), a + shift, b + shift)
-        return HyperbolicProfile(
-            func=lambda x, y: self.func(x - shift, y),
-            box=(x0 + shift, x1 + shift, y0, y1),
-            x_part=x_part,
-            y_part=self.y_part,
-        )
-
 
 def separable_profile(x_part: InitialProfile, y_part: InitialProfile) -> HyperbolicProfile:
     """Product profile x_part(x) * y_part(y); the y support must stay above 0."""
@@ -176,9 +161,17 @@ def disk_kernel_mass(t: float, quad: QuadratureRule | None = None, panels: int =
     Closed form 4 sqrt(2) pi sinh(t/2); computed here by the same polar
     quadrature the propagator uses, so it doubles as a quadrature test.
     """
-    quad = _check_solve_args(t, quad)
+    _check_time(t)
+    quad = _check_rule(quad, panels)
     _, w2, _ = _radial_nodes(t, quad, panels)
     return 2.0 * math.pi * float(np.sum(w2))
+
+
+def _check_disk_rule(quad: QuadratureRule | None, panels: int, n_theta: int) -> QuadratureRule:
+    """The rule of a disk solve (the default if None), checked with the panel and angle counts."""
+    if n_theta < 4:
+        raise ConfigError(f"need at least 4 angular nodes, got {n_theta}")
+    return _check_rule(quad, panels)
 
 
 def hyperbolic_solve(
@@ -198,9 +191,8 @@ def hyperbolic_solve(
     nodes.  The profile is evaluated once on the whole (angle x radius)
     node grid.
     """
-    quad = _check_solve_args(t, quad)
-    if n_theta < 4:
-        raise ConfigError(f"need at least 4 angular nodes, got {n_theta}")
+    _check_time(t)
+    quad = _check_disk_rule(quad, panels, n_theta)
     _, w2, r = _radial_nodes(t, quad, panels)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
     px, py = _polar_points(w, r, thetas[:, None])
@@ -231,7 +223,8 @@ def hyperbolic_fourier_check(
     Requires a separable profile; the x factor enters only through its
     Fourier transform, the y factor only through the per-mode data.
     """
-    quad = _check_solve_args(t, quad)
+    _check_time(t)
+    quad = _check_rule(quad, panels)
     if not f.separable:
         raise SeparabilityError(
             "frequency-domain route needs a separable profile x_part(x) * y_part(y)"

@@ -34,21 +34,28 @@ __all__ = [
 ]
 
 
-def _check_solve_args(t: float, quad: QuadratureRule | None) -> QuadratureRule:
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"solve requires t > 0, got {t!r}")
+def _check_rule(quad: QuadratureRule | None, panels: int) -> QuadratureRule:
+    """The rule of a solve (the default if None), checked with the panel count."""
     if quad is None:
         quad = default_rule()
     if quad.order < MIN_SOLVE_ORDER:
         raise ConfigError(
             f"propagator needs quadrature order >= {MIN_SOLVE_ORDER}, got {quad.order}"
         )
+    if panels < 1:
+        raise ConfigError(f"panel count must be >= 1, got {panels}")
     return quad
 
 
-def _positions(t: float, x, k, quad: QuadratureRule | None):
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"solve requires t > 0, got {t!r}")
+
+
+def _positions(t: float, x, k, quad: QuadratureRule | None, panels: int):
     """Checked rule and positions (a 0-d or 1-D float array) for a line solve."""
-    quad = _check_solve_args(t, quad)
+    _check_time(t)
+    quad = _check_rule(quad, panels)
     require_finite("solve", x=x, k=k)
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
@@ -66,7 +73,7 @@ def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
     the support are exactly 0.0.  x is a number (a float is returned) or
     a 1-D array; coupling is a number or an array matching x.
     """
-    quad, xs = _positions(t, x, coupling, quad)
+    quad, xs = _positions(t, x, coupling, quad, panels)
     xs = xs.reshape(-1)
     a, b = f.support
     lo = np.maximum(xs - t, a)
@@ -126,7 +133,7 @@ def solve_cauchy_regularized(
     number or a 1-D array, as for solve_cauchy; all positions share the
     fixed nodes.
     """
-    quad, xs = _positions(t, x, k, quad)
+    quad, xs = _positions(t, x, k, quad, panels)
     xs = xs[..., None]
     zpts, wts = panel_points(quad, 0.0, 1.0, panels)
     sh = math.sinh(0.5 * t)
@@ -161,34 +168,36 @@ def small_time_slope(
 
 
 def solve_on_grid(
-    k: float,
+    coupling,
     f: InitialProfile,
     times,
     positions,
     quad: QuadratureRule | None = None,
     panels: int = DEFAULT_PANELS,
-    regularized: bool = False,
+    solver=solve_cauchy,
 ) -> SolutionField:
-    """Propagator values on a (times x positions) grid, one batched row per time.
+    """Values of a line solver on a (times x positions) grid, one batched row per time.
 
-    t = 0 rows are filled with zeros (the initial condition) without
-    invoking the solver.
+    solver is solve_cauchy, solve_cauchy_regularized, constant_potential_solve
+    or telegraph_solve; coupling is its first argument.  Times may come in
+    any order and are returned sorted.  The rule and panel count are
+    checked before any row; t = 0 rows are zeros (the initial condition).
     """
-    times = np.asarray(times, dtype=float)
+    times = np.sort(np.asarray(times, dtype=float))
     positions = np.asarray(positions, dtype=float)
     require_finite("solve_on_grid", times=times)
     if np.any(times < 0.0):
         raise DomainError("grid times must be >= 0")
-    solve = solve_cauchy_regularized if regularized else solve_cauchy
+    quad = _check_rule(quad, panels)
     values = np.zeros((len(times), len(positions)))
     for i, t in enumerate(times):
         if t > 0.0:
-            values[i] = solve(k, f, float(t), positions, quad, panels)
+            values[i] = solver(coupling, f, float(t), positions, quad, panels)
 
     return SolutionField(
         times=times,
         positions=positions,
         values=values,
-        provenance="regularized" if regularized else "quadrature",
-        attrs={"k": k, "panels": panels, "order": (quad or default_rule()).order},
+        provenance="regularized" if solver is solve_cauchy_regularized else "quadrature",
+        attrs={"coupling": coupling, "panels": panels, "order": quad.order},
     )

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.integrate import quad as adaptive_quad
 from scipy.special import i0, j0
 
+from liouwave.hyperbolic import HyperbolicProfile
+from liouwave.profiles import FunctionProfile
 from liouwave.quadrature import panel_points
 
 EULER_GAMMA_ORACLE = 0.5772156649015328606065120900824024
@@ -145,8 +147,33 @@ def regularized_row_per_point(k: float, f, t: float, xs, rule, panels: int = 8) 
     return np.array(out)
 
 
+def translated(profile, shift: float) -> HyperbolicProfile:
+    """Half-plane profile translated horizontally by shift (an isometry of the plane)."""
+    x0, x1, y0, y1 = profile.box
+    x_part = None
+    if profile.x_part is not None:
+        a, b = profile.x_part.support
+        x_part = FunctionProfile(lambda s: profile.x_part(s - shift), a + shift, b + shift)
+    return HyperbolicProfile(
+        func=lambda x, y: profile.func(x - shift, y),
+        box=(x0 + shift, x1 + shift, y0, y1),
+        x_part=x_part,
+        y_part=profile.y_part,
+    )
+
+
 # ---------------------------------------------------------------------------
 # full-domain leapfrog: every cell of the padded domain, a new array a step
+
+
+def wave_step(u, u_prev, dt, inv_dx2, potential):
+    """One full-domain leapfrog step of u_tt = u_xx - V u with Dirichlet ends."""
+    lap = np.zeros_like(u)
+    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+    u_next = dt * dt * (lap - potential * u) + 2.0 * u - u_prev
+    u_next[0] = 0.0
+    u_next[-1] = 0.0
+    return u_next
 
 
 def leapfrog_full_domain(f, cfg, potential, damping_sum=None, record_times=None):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from liouwave import BumpProfile, write_profile_csv
+from liouwave import (
+    BumpProfile,
+    TelegraphParams,
+    constant_potential_solve,
+    telegraph_solve,
+    write_profile_csv,
+)
 from liouwave.cli import main
 from liouwave.verification import CheckResult, SUITES
 
@@ -73,18 +79,35 @@ def test_eval_kernel_header_and_cone(tmp_path):
     assert values[1] == 1.0 and values[3] == 1.0  # on the cone
 
 
+def _values(path):
+    return np.array([float(r.split(",")[2]) for r in _data_rows(_read(path))])
+
+
 def test_solve_const_and_telegraph_run(tmp_path):
+    bump, xs = BumpProfile(-1.0, 1.0), np.linspace(-2.0, 2.0, 5)
     rc = main([
         "solve-const", "--k", "1", "--profile", "bump:-1:1", "--t", "1",
         "--x-grid", "-2:2:5", "--out", str(tmp_path / "c.csv"), "--no-timestamp",
     ])
     assert rc == 0
+    assert np.array_equal(_values(tmp_path / "c.csv"), constant_potential_solve(1.0, bump, 1.0, xs))
     rc = main([
         "solve-telegraph", "--alpha", "2", "--beta", "0", "--profile", "bump:-1:1",
         "--t", "0.5", "--x-grid", "-2:2:5", "--out", str(tmp_path / "t.csv"),
         "--no-timestamp",
     ])
     assert rc == 0
+    assert np.array_equal(_values(tmp_path / "t.csv"),
+                          telegraph_solve(TelegraphParams(2.0, 0.0), bump, 0.5, xs))
+
+
+def test_solve_rows_come_out_in_ascending_time(tmp_path):
+    base = ["solve", "--k", "1", "--profile", "bump:-1:1", "--x-grid", "-2:2:5", "--no-timestamp"]
+    assert main(base + ["--t", "1,0.5", "--out", str(tmp_path / "desc.csv")]) == 0
+    assert main(base + ["--t", "0.5,1", "--out", str(tmp_path / "asc.csv")]) == 0
+    rows = _data_rows(_read(tmp_path / "desc.csv"))
+    assert [float(r.split(",")[0]) for r in rows] == [0.5] * 5 + [1.0] * 5
+    assert rows == _data_rows(_read(tmp_path / "asc.csv"))
 
 
 def test_solve_hyperbolic_doc_format(tmp_path):
@@ -229,3 +252,27 @@ def test_timestamp_header_present_by_default(tmp_path):
     first = _read(out).splitlines()[0]
     assert first.startswith("# generated ")
     assert "wall_time_s=" in first
+
+
+@pytest.mark.parametrize("max_panels", ["0", "-1"])
+def test_convergence_needs_at_least_one_panel(max_panels, capsys):
+    rc = main(_CONVERGENCE + ["--max-panels", max_panels, "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "--max-panels" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    _with(_LINE, "--t", "0") + ["--panels", "0"],
+    _with(_LINE, "--t", "0") + ["--quad-order", "4"],
+    ["solve-const"] + _with(_LINE, "--t", "0")[1:] + ["--panels", "-1"],
+    _with(_DISK, "--t", "0") + ["--ntheta", "2"],
+    _with(_DISK, "--t", "0") + ["--panels", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_quadrature_config_checked_before_any_row(argv, capsys):
+    rc = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:")
+    assert captured.out == ""

@@ -10,8 +10,7 @@ from liouwave import (
     fd_wave_solve,
 )
 from liouwave import fd_oracle
-from liouwave.fd_oracle import wave_step
-from oracles import dalembert_value, leapfrog_full_domain
+from oracles import dalembert_value, leapfrog_full_domain, wave_step
 
 
 def _free_wave_cfg(dx=2e-3, t_final=1.0):

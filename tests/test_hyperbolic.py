@@ -16,6 +16,7 @@ from liouwave import (
     hyperbolic_solve,
 )
 from liouwave.hyperbolic import _polar_points
+from oracles import translated
 
 
 def test_distance_examples():
@@ -108,7 +109,7 @@ def test_horizontal_translation_invariance():
     w = HyperbolicPoint(0.2, 1.3)
     shift = 2.7
     u = hyperbolic_solve(f, 1.0, w)
-    u_shift = hyperbolic_solve(f.translated(shift), 1.0, HyperbolicPoint(w.x + shift, w.y))
+    u_shift = hyperbolic_solve(translated(f, shift), 1.0, HyperbolicPoint(w.x + shift, w.y))
     assert abs(u - u_shift) <= 1e-10
 
 

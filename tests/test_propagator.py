@@ -189,14 +189,38 @@ def test_solve_on_grid_rejects_non_finite_times(bump, bad):
         solve_on_grid(1.0, bump, [bad, 1.0], np.linspace(-1.0, 1.0, 5))
 
 
-def test_solve_on_grid_rows_equal_row_solves(bump):
+GRID_SOLVERS = {
+    "raw": (solve_cauchy, 1.3),
+    "regularized": (solve_cauchy_regularized, 1.3),
+    "constant": (constant_potential_solve, 1.3),
+    "telegraph": (telegraph_solve, TelegraphParams(1.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SOLVERS))
+def test_solve_on_grid_rows_equal_row_solves(bump, name):
+    solver, coupling = GRID_SOLVERS[name]
     times = [0.0, 0.4, 1.7]
     xs = np.linspace(-3.0, 3.0, 31)
-    for regularized, solve in ((False, solve_cauchy), (True, solve_cauchy_regularized)):
-        field = solve_on_grid(1.3, bump, times, xs, regularized=regularized)
-        assert np.all(field.values[0] == 0.0)
-        for it, t in enumerate(times[1:], start=1):
-            assert np.array_equal(field.values[it], solve(1.3, bump, t, xs))
+    field = solve_on_grid(coupling, bump, times, xs, solver=solver)
+    assert np.all(field.values[0] == 0.0)
+    for it, t in enumerate(times[1:], start=1):
+        assert np.array_equal(field.values[it], solver(coupling, bump, t, xs))
+    assert field.provenance == ("regularized" if name == "regularized" else "quadrature")
+
+
+def test_solve_on_grid_returns_times_sorted(bump):
+    xs = np.linspace(-3.0, 3.0, 13)
+    shuffled = solve_on_grid(1.0, bump, [1.0, 0.0, 0.5], xs)
+    ordered = solve_on_grid(1.0, bump, [0.0, 0.5, 1.0], xs)
+    assert np.array_equal(shuffled.times, [0.0, 0.5, 1.0])
+    assert np.array_equal(shuffled.values, ordered.values)
+
+
+@pytest.mark.parametrize("config", [{"panels": 0}, {"panels": -2}, {"quad": gauss_legendre(4)}])
+def test_solve_on_grid_checks_rule_before_any_row(bump, config):
+    with pytest.raises(ConfigError):
+        solve_on_grid(1.0, bump, [0.0], np.linspace(-1.0, 1.0, 5), **config)
 
 
 @pytest.mark.parametrize("times, positions", [
