@@ -43,7 +43,7 @@ from .propagator import (
     solve_cauchy_regularized,
     solve_on_grid,
 )
-from .quadrature import DEFAULT_QUAD_ORDER, QuadratureRule, gauss_legendre, integrate
+from .quadrature import DEFAULT_QUAD_ORDER, QuadratureRule, gauss_legendre
 from .reductions import (
     DEFAULT_SCALING_SAMPLES,
     ScalingStudy,
@@ -86,7 +86,6 @@ __all__ = [
     "geodesic_distance",
     "hyperbolic_fourier_check",
     "hyperbolic_solve",
-    "integrate",
     "kernel_argument",
     "kernel_argument_partials",
     "pde_residual",

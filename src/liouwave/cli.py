@@ -24,7 +24,7 @@ from .hyperbolic import (
     bump_profile_2d,
     hyperbolic_solve,
 )
-from .kernel import wave_kernel
+from .kernel import kernel_defined, wave_kernel
 from .profiles import BumpProfile, read_profile_csv
 from .propagator import DEFAULT_PANELS, solve_cauchy, solve_cauchy_regularized, solve_on_grid
 from .quadrature import DEFAULT_QUAD_ORDER, gauss_legendre
@@ -167,12 +167,10 @@ def _cmd_eval_kernel(args, started):
     xs = _parse_grid(args.x_grid)
     rows = []
     for t in times:
-        for x in xs:
-            try:
-                value = wave_kernel(t, float(x), args.xp, args.k, args.coef_a, args.coef_b)
-            except DomainError:
-                value = math.nan
-            rows.append((t, float(x), args.xp, value))
+        values = np.full(xs.shape, math.nan)
+        defined = kernel_defined(t, xs, args.xp, args.k, args.coef_b)
+        values[defined] = wave_kernel(t, xs[defined], args.xp, args.k, args.coef_a, args.coef_b)
+        rows.extend((t, x, args.xp, v) for x, v in zip(xs.tolist(), values.tolist()))
     _write_record(args, ("t", "X", "Xp", "value"), rows, "closed-form", started)
     return EXIT_OK
 

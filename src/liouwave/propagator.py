@@ -63,6 +63,14 @@ def _positions(t: float, x, k, quad: QuadratureRule | None, panels: int):
     return quad, x
 
 
+def _finished(t: float, x: np.ndarray, u):
+    """Row u at positions x (same shape) as a float or an array; non-finite values raise."""
+    bad = ~np.isfinite(u)
+    if np.any(bad):
+        raise DomainError(f"solve overflows at (t={t}, x={float(x.flat[np.argmax(bad)])})")
+    return float(u) if u.ndim == 0 else u
+
+
 def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
     """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' for each x.
 
@@ -73,8 +81,8 @@ def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
     the support are exactly 0.0.  x is a number (a float is returned) or
     a 1-D array; coupling is a number or an array matching x.
     """
-    quad, xs = _positions(t, x, coupling, quad, panels)
-    xs = xs.reshape(-1)
+    quad, x = _positions(t, x, coupling, quad, panels)
+    xs = x.reshape(-1)
     a, b = f.support
     lo = np.maximum(xs - t, a)
     hi = np.minimum(xs + t, b)
@@ -86,7 +94,7 @@ def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
         pts, wts = panel_points(quad, lo[live], hi[live], panels)
         vals = kernel(argument(t, xs[live, None], pts, coupling)) * f(pts)
         out[live] = 0.5 * weighted_sum(wts, vals)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return _finished(t, x, out.reshape(x.shape))
 
 
 def solve_cauchy(
@@ -133,8 +141,8 @@ def solve_cauchy_regularized(
     number or a 1-D array, as for solve_cauchy; all positions share the
     fixed nodes.
     """
-    quad, xs = _positions(t, x, k, quad, panels)
-    xs = xs[..., None]
+    quad, x = _positions(t, x, k, quad, panels)
+    xs = x[..., None]
     zpts, wts = panel_points(quad, 0.0, 1.0, panels)
     sh = math.sinh(0.5 * t)
     s = 2.0 * np.arcsinh(zpts * sh)
@@ -142,12 +150,13 @@ def solve_cauchy_regularized(
     xp_minus = xs - s
     amp = 2.0 * abs(k) * sh
     one_minus = np.maximum(1.0 - zpts * zpts, 0.0)
-    z_plus = amp * np.sqrt(np.exp(xs + xp_plus) * one_minus)
-    z_minus = amp * np.sqrt(np.exp(xs + xp_minus) * one_minus)
+    # k = 0 gives z = 0 even where e^{x+x'} overflows; other overflows fail the row check
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_plus = np.where(amp == 0.0, 0.0, amp * np.sqrt(np.exp(xs + xp_plus) * one_minus))
+        z_minus = np.where(amp == 0.0, 0.0, amp * np.sqrt(np.exp(xs + xp_minus) * one_minus))
     jacobian = sh / np.sqrt(1.0 + (zpts * sh) ** 2)
     integrand = (_j0(z_plus) * f(xp_plus) + _j0(z_minus) * f(xp_minus)) * jacobian
-    u = weighted_sum(wts, integrand)
-    return float(u) if np.ndim(x) == 0 else u
+    return _finished(t, x, weighted_sum(wts, integrand))
 
 
 def small_time_slope(

@@ -80,13 +80,3 @@ def weighted_sum(wts, vals):
     batched row equals the one-at-a-time value bitwise.
     """
     return (vals[..., None, :] @ wts[..., :, None])[..., 0, 0]
-
-
-def integrate(func, lo: float, hi: float, rule: QuadratureRule | None = None, panels: int = 1) -> float:
-    """Composite Gauss-Legendre integral of a vectorized callable on [lo, hi]."""
-    if rule is None:
-        rule = default_rule()
-    if hi <= lo:
-        return 0.0
-    pts, wts = panel_points(rule, lo, hi, panels)
-    return float(np.dot(wts, np.asarray(func(pts), dtype=float)))

@@ -63,20 +63,45 @@ def test_regularized_flag_agrees_with_raw_form(tmp_path):
     assert max(abs(a - b) for a, b in zip(raw_vals, reg_vals)) <= 1e-9
 
 
-def test_eval_kernel_header_and_cone(tmp_path):
+@pytest.mark.parametrize("k, coef_b, cone, nan_at", [
+    # first kind: NaN outside the cone, J0(0) = 1 on it
+    ("1", "0", 1.0, [0, 4]),
+    # second kind present: Y0 is singular on the cone too
+    ("1", "0.7", None, [0, 1, 3, 4]),
+    # k = 0 puts z = 0 everywhere, so with the second kind every row is NaN
+    ("0", "0.7", None, [0, 1, 2, 3, 4]),
+], ids=["first-kind", "second-kind", "k0-second-kind"])
+def test_eval_kernel_header_and_cone(tmp_path, k, coef_b, cone, nan_at):
     out = tmp_path / "kernel.csv"
     rc = main([
-        "eval-kernel", "--k", "1", "--t", "1", "--x-grid", "-2:2:5",
+        "eval-kernel", "--k", k, "--t", "1,2", "--x-grid", "-2:2:5", "--coef-b", coef_b,
         "--out", str(out), "--no-timestamp",
     ])
     assert rc == 0
     text = _read(out)
     assert "t,X,Xp,value" in text
     rows = _data_rows(text)
-    assert len(rows) == 5
-    values = [float(r.split(",")[3]) for r in rows]
-    assert np.isnan(values[0]) and np.isnan(values[-1])  # outside the cone
-    assert values[1] == 1.0 and values[3] == 1.0  # on the cone
+    assert len(rows) == 10
+    values = np.array([float(r.split(",")[3]) for r in rows[:5]])
+    assert np.flatnonzero(np.isnan(values)).tolist() == nan_at
+    if cone is not None:
+        assert values[1] == cone and values[3] == cone
+    if k == "0":
+        assert all(r.endswith(",nan") for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--k", "1", "--profile", "bump:709:711", "--t", "1", "--x-grid", "709:711:3"],
+    ["solve", "--regularized", "--k", "1", "--profile", "bump:709:711", "--t", "1",
+     "--x-grid", "709:711:3"],
+    ["eval-kernel", "--k", "1", "--t", "1", "--x-grid", "709:711:3", "--xp", "710"],
+], ids=["solve", "regularized", "eval-kernel"])
+def test_overflowing_kernel_is_an_error_not_nan_rows(argv, capsys):
+    rc = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert captured.out == ""
 
 
 def _values(path):

@@ -36,6 +36,36 @@ def test_argument_outside_cone_raises():
         kernel_argument(math.nan, 0.0, 0.0, 1.0)
 
 
+def test_argument_array_outside_cone_names_first_bad_point():
+    xs = np.array([0.0, 0.25, 0.8, 1.5])
+    with pytest.raises(DomainError, match=r"point \(t=0\.5, x=0\.8, x'=0\.0\) lies outside"):
+        kernel_argument(0.5, xs, 0.0, 1.0)
+    with pytest.raises(DomainError, match=r"x=1\.5, x'=0\.2"):
+        wave_kernel(np.array([[1.0], [0.5]]), np.array([0.5, 1.5]), 0.2, 1.0)
+    assert np.array_equal(kernel_argument(0.5, xs, 0.0, 0.0), np.zeros(4))
+
+
+def test_numbers_give_floats_and_arrays_give_arrays():
+    assert type(kernel_argument(1.0, 0.0, 0.0, 1.0)) is float
+    assert type(wave_kernel(1, 0, 0, 1)) is float
+    assert type(pde_residual(2.0, 0.0, 0.3, 1.0)) is float
+    assert all(type(v) is float for v in kernel_argument_partials(2.0, 0.1, -0.4, 1.5))
+    ts, xs = np.array([[1.0], [2.0]]), np.linspace(-0.5, 0.5, 3)
+    assert kernel_argument(ts, xs, 0.0, 1.0).shape == (2, 3)
+    assert all(v.shape == (2, 3) for v in kernel_argument_partials(ts, xs, 0.0, 1.0))
+
+
+def test_overflowing_argument_raises_and_zero_coupling_stays_zero():
+    # the true z is about 2.3e8, but e^{(x+x')/2} = e^710 overflows
+    with pytest.raises(DomainError, match="overflows"):
+        kernel_argument(1.0, 710.0, 710.0, 1e-300)
+    with pytest.raises(DomainError, match="x=710.0, x'=710.0.* overflows"):
+        wave_kernel(1.0, np.array([709.2, 710.0]), 710.0, 1e-300)
+    assert kernel_argument(1.0, 710.0, 710.0, 0.0) == 0.0
+    assert kernel_argument(1.0, 709.0, 710.0, 1.0) == 0.0  # on the cone
+    assert wave_kernel(0.5, 800.0, 700.0, 0.0) == 1.0
+
+
 def test_argument_symmetries_bitwise():
     rng = np.random.default_rng(7)
     for _ in range(100):

@@ -183,6 +183,26 @@ def test_line_solvers_reject_non_finite_coupling(bump, solver, k):
         LINE_SOLVERS[solver](k, bump, 1.0, 0.3)
 
 
+# e^{(x+x')/2} overflows near x + x' = 1420, where the true solution is finite
+FAR_BUMP = BumpProfile(709.0, 711.0)
+
+
+def test_overflowing_kernel_raises_instead_of_nan():
+    for solver in (solve_cauchy, solve_cauchy_regularized):
+        with pytest.raises(DomainError, match="overflows"):
+            solver(1.0, FAR_BUMP, 1.0, 710.0)
+    with pytest.raises(DomainError, match="x=710.0"):
+        solve_cauchy(1.0, FAR_BUMP, 1.0, np.array([705.0, 710.0]))  # 705: cone misses support
+
+
+def test_zero_coupling_is_finite_where_the_exponential_overflows():
+    # k = 0 is d'Alembert's cone average whatever e^{x+x'} is
+    average = constant_potential_solve(0.0, FAR_BUMP, 1.0, 710.0)
+    assert average == pytest.approx(0.2220, abs=1e-4)
+    assert solve_cauchy(0.0, FAR_BUMP, 1.0, 710.0) == average
+    assert solve_cauchy_regularized(0.0, FAR_BUMP, 1.0, 710.0) == pytest.approx(average, rel=1e-8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_on_grid_rejects_non_finite_times(bump, bad):
     with pytest.raises(DomainError):

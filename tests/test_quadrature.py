@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liouwave import ConfigError, gauss_legendre, integrate
+from liouwave import ConfigError, gauss_legendre
 from liouwave.quadrature import panel_points, weighted_sum
 
 
@@ -32,16 +32,6 @@ def test_panel_points_partition_interval():
     assert len(pts) == 40
     assert np.all((pts > -2.0) & (pts < 3.0))
     assert abs(np.sum(wts) - 5.0) <= 1e-13
-
-
-def test_integrate_smooth_function():
-    val = integrate(np.cos, 0.0, np.pi / 2, gauss_legendre(16), panels=2)
-    assert val == pytest.approx(1.0, abs=1e-14)
-
-
-def test_integrate_empty_interval_is_zero():
-    assert integrate(np.cos, 1.0, 1.0) == 0.0
-    assert integrate(np.cos, 2.0, 1.0) == 0.0
 
 
 def test_invalid_configs_rejected():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import liouwave.verification as verification
@@ -43,3 +44,14 @@ def test_lemma1_fails_on_a_perturbed_second_partial(monkeypatch, partial, name):
     checks = _by_partial(run_suite("lemma1"))
     assert not checks[name].passed
     assert all(c.passed for n, c in checks.items() if n != name)
+
+
+def test_cone_interior_samples_are_the_nested_loop_grid():
+    # the batched suites must see the same points, in the same order, as
+    # the nested loop over the canonical sample sets
+    loop = [(t, x, xp, k) for t in verification.PARTIALS_TS for x in verification.PARTIALS_XS
+            for xp in verification.PARTIALS_XS if t - abs(x - xp) > verification.CONE_MARGIN
+            for k in verification.PARTIALS_KS]
+    samples = np.array(verification._cone_interior_samples())
+    assert samples.shape == (4, len(loop))
+    assert np.array_equal(samples, np.transpose(loop))
