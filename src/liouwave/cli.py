@@ -9,6 +9,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -48,10 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ConfigError(message)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _number(text: str, flag: str, kind=float):
@@ -131,16 +128,18 @@ def _echo(args: argparse.Namespace, skip=("out", "format", "no_timestamp", "func
 
 def _write_record(args, columns, rows, provenance, started):
     lines = []
-    wall = time.perf_counter() - started
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    if not args.no_timestamp:
+        wall = time.perf_counter() - started
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     echo = _echo(args)
+    row_format = ",".join(["%.17g"] * len(columns))
     if args.format == "csv":
         if not args.no_timestamp:
             lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
         lines.append(f"# config: {echo}")
         lines.append(f"# provenance: {provenance}")
         lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(row_format % row for row in rows)
     else:
         lines.append("liouwave result record")
         if not args.no_timestamp:
@@ -150,7 +149,7 @@ def _write_record(args, columns, rows, provenance, started):
         lines.append(f"provenance: {provenance}")
         lines.append(f"columns: {','.join(columns)}")
         lines.append(f"rows: {len(rows)}")
-        lines.extend("row: " + ",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend("row: " + row_format % row for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,9 +209,9 @@ def _cmd_solve_hyperbolic(args, started):
 def _cmd_verify(args, started):
     names = list(SUITES) if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
     results = run_suites(names, dx=args.dx, dt=args.dt, cfl=args.cfl)
-    wall = time.perf_counter() - started
     lines = []
     if not args.no_timestamp:
+        wall = time.perf_counter() - started
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
     lines.append(f"# config: {_echo(args)}")
@@ -290,6 +289,7 @@ def _add_line_flags(p):
     p.set_defaults(func=_cmd_solve_line)
 
 
+@functools.cache  # parse_args leaves no state on it: defaults are immutable, no choices= on SUITES
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="liouwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,7 +8,6 @@ scalars or arrays and return matching shapes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError
 
@@ -87,6 +86,7 @@ class SampledProfile(InitialProfile):
         if support is None:
             support = (nodes[0], nodes[-1])
         super().__init__(*support)
+        from scipy.interpolate import CubicSpline  # lazy: only file: profiles pay its import
         self.nodes = nodes
         self.values = values
         self._spline = CubicSpline(nodes, values, bc_type="natural", extrapolate=False)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 from scipy.special import j0 as _sj0, y0 as _sy0
 
 from .errors import ConfigError
@@ -148,6 +147,7 @@ def _dalembert_reference(f: BumpProfile, t: float, x: float) -> float:
     lo, hi = max(x - t, a), min(x + t, b)
     if lo >= hi:
         return 0.0
+    from scipy.integrate import quad as _adaptive_quad  # lazy: only this reference uses it
     val, _ = _adaptive_quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
     return 0.5 * val
 

@@ -1,6 +1,14 @@
+import argparse
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import liouwave
 from liouwave import (
     BumpProfile,
     TelegraphParams,
@@ -8,7 +16,7 @@ from liouwave import (
     telegraph_solve,
     write_profile_csv,
 )
-from liouwave.cli import main
+from liouwave.cli import _write_record, build_parser, main
 from liouwave.verification import CheckResult, SUITES
 
 
@@ -301,3 +309,98 @@ def test_quadrature_config_checked_before_any_row(argv, capsys):
     assert rc == 1
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+_SRC = str(Path(liouwave.__file__).resolve().parent.parent)
+
+
+def _fresh_python(code, *args, cwd=None):
+    """Run ``code`` in a new interpreter that imports liouwave from this tree."""
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "COLUMNS": "80"}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_interpolate_and_integrate_unloaded():
+    proc = _fresh_python(
+        "import sys, liouwave.cli\n"
+        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+_FAILING_SUITE = (
+    "from liouwave.verification import SUITES, CheckResult\n"
+    "SUITES['always-fails'] = lambda: "
+    "[CheckResult('always-fails', 'synthetic failing check', 1.0, 0.5, False)]\n"
+)
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; no call may leave state for the next.
+
+    Each argv is run in this process, in a sequence where a flag set by one
+    call is absent from the next, and compared byte for byte with the same
+    argv run in a new interpreter, where the parser is built for it alone.
+    """
+    plain = _LINE + ["--no-timestamp"]
+    steps = [
+        ["solve", "--regularized"] + plain[1:], plain,
+        plain + ["--out", "out.csv"], plain,
+        plain + ["--format", "doc"], plain,
+        ["solve", "--k", "1", "--no-timestamp"], plain,
+        ["verify", "--suite", "always-fails", "--no-timestamp"],
+    ]
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outputs(rc, out, err):
+        written = Path("out.csv")
+        record = (rc, out, err, written.read_text(encoding="utf-8") if written.exists() else None)
+        written.unlink(missing_ok=True)
+        return record
+
+    seen = []
+    for argv in steps:
+        if argv[0] == "verify":
+            assert build_parser.cache_info().currsize == 1
+            monkeypatch.setitem(
+                SUITES, "always-fails",
+                lambda: [CheckResult("always-fails", "synthetic failing check", 1.0, 0.5, False)],
+            )
+        rc = main(argv)
+        seen.append(outputs(rc, *capsys.readouterr()))
+
+    fresh = {}
+    for n, argv in enumerate(steps):
+        if tuple(argv) not in fresh:
+            cwd = tmp_path / f"fresh-{n}"
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            preamble = _FAILING_SUITE if argv[0] == "verify" else ""
+            proc = _fresh_python(preamble + "import sys\nfrom liouwave.cli import main\n"
+                                 "sys.exit(main(sys.argv[1:]))", *argv, cwd=cwd)
+            fresh[tuple(argv)] = outputs(proc.returncode, proc.stdout, proc.stderr)
+        assert seen[n] == fresh[tuple(argv)], " ".join(argv)
+
+    provenance = [out.splitlines()[1] for _, out, _, _ in seen[:2]]
+    assert provenance == ["# provenance: regularized", "# provenance: quadrature"]
+    assert seen[2][1] == "" and seen[2][3] and seen[3][1] == seen[2][3]
+    assert seen[4][1].startswith("liouwave result record") and seen[5][1] == seen[1][1]
+    assert seen[6][0] == 1 and seen[7][0] == 0
+    assert seen[8][0] == 2 and "FAIL  [always-fails]" in seen[8][1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+def test_rows_keep_17_significant_digits(fmt, capsys):
+    values = (0.0, -0.0, 5e-324, 1 / 3, 1e300, math.nan, math.inf, -math.inf)
+    rows = [values, values[::-1], tuple(np.float64(v) for v in values)]
+    args = argparse.Namespace(format=fmt, no_timestamp=True, out=None)
+    _write_record(args, tuple(f"c{i}" for i in range(len(values))), rows, "closed-form", 0.0)
+    lines = capsys.readouterr().out.splitlines()[-len(rows):]
+    for line, row in zip(lines, rows):
+        fields = line.removeprefix("row: " if fmt == "doc" else "").split(",")
+        assert fields == [format(v, ".17g") for v in row]
