@@ -1,10 +1,11 @@
 """Two exact forms of the same integral.
 
 The raw propagator integrates over the moving cone interval; the
-substitution sinh(s/2) = z sinh(t/2) maps it onto the fixed interval
-[0, 1], which keeps the integrand O(1) down to t = 0.  Both are exact
-transforms of each other, so their gap is pure quadrature error and
-collapses under panel refinement.
+substitution sinh(s/2) = z sinh(t/2) maps each half of the cone,
+x' = x + s and x' = x - s, onto z in [0, 1], which keeps the integrand
+O(1) down to t = 0.  Both forms integrate only where the cone meets the
+support and are exact transforms of each other, so their gap is pure
+quadrature error and collapses under panel refinement.
 """
 
 from liouwave import BumpProfile, gauss_legendre, solve_cauchy, solve_cauchy_regularized

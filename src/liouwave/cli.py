@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Runs kernel evaluations, the four solvers, the named verification suites,
-and the scaling/quadrature studies, writing CSV or a structured-text
-record.  Exit codes: 0 success, 1 usage or configuration error, 2
-verification failure.
+and the scaling/quadrature studies, writing CSV records.  Exit codes: 0
+success, 1 usage or configuration error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -114,7 +113,7 @@ def _parse_point(text: str) -> HyperbolicPoint:
     return HyperbolicPoint(*(_number(p, "--w") for p in parts))
 
 
-def _echo(args: argparse.Namespace, skip=("out", "format", "no_timestamp", "func")) -> str:
+def _echo(args: argparse.Namespace, skip=("out", "no_timestamp", "func")) -> str:
     pairs = []
     for key in sorted(vars(args)):
         if key in skip:
@@ -131,25 +130,12 @@ def _write_record(args, columns, rows, provenance, started):
     if not args.no_timestamp:
         wall = time.perf_counter() - started
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    echo = _echo(args)
+        lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
+    lines.append(f"# config: {_echo(args)}")
+    lines.append(f"# provenance: {provenance}")
+    lines.append(",".join(columns))
     row_format = ",".join(["%.17g"] * len(columns))
-    if args.format == "csv":
-        if not args.no_timestamp:
-            lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
-        lines.append(f"# config: {echo}")
-        lines.append(f"# provenance: {provenance}")
-        lines.append(",".join(columns))
-        lines.extend(row_format % row for row in rows)
-    else:
-        lines.append("liouwave result record")
-        if not args.no_timestamp:
-            lines.append(f"generated: {stamp}")
-            lines.append(f"wall_time_s: {wall:.3f}")
-        lines.append(f"config: {echo}")
-        lines.append(f"provenance: {provenance}")
-        lines.append(f"columns: {','.join(columns)}")
-        lines.append(f"rows: {len(rows)}")
-        lines.extend("row: " + row_format % row for row in rows)
+    lines.extend(row_format % row for row in rows)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -269,7 +255,6 @@ def _cmd_convergence(args, started):
 
 def _add_output_flags(p):
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "doc"), default="csv")
     p.add_argument("--no-timestamp", action="store_true",
                    help="suppress the timestamp/wall-time header line")
 
@@ -289,7 +274,7 @@ def _add_line_flags(p):
     p.set_defaults(func=_cmd_solve_line)
 
 
-@functools.cache  # parse_args leaves no state on it: defaults are immutable, no choices= on SUITES
+@functools.cache  # parse_args leaves no state on it: defaults are immutable; SUITES is read when verify runs
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="liouwave", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -307,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exponential-potential Cauchy solve on a grid")
     p.add_argument("--k", type=_finite, required=True)
     p.add_argument("--regularized", action="store_true",
-                   help="use the substituted fixed-interval form")
+                   help="use the substituted form, well conditioned as t -> 0")
     _add_line_flags(p)
 
     p = sub.add_parser("solve-const", help="constant-potential Cauchy solve on a grid")
@@ -329,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_hyperbolic)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    p.add_argument("--suite", default="all",
-                   help="comma-separated suite names or 'all' "
-                        f"(available: {', '.join(sorted(SUITES))})")
+    p.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")
     p.add_argument("--dx", type=_finite, default=None,
                    help="mesh override for the finite-difference suites")
     p.add_argument("--dt", type=_finite, default=None,

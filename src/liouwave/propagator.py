@@ -3,10 +3,10 @@
 Solves u_tt = u_xx - k^2 e^{2x} u with u(0, x) = 0 and u_t(0, x) = f(x) by
 integrating the first-kind kernel against f over the domain of dependence.
 Two exact forms are provided: the raw light-cone integral and a
-regularized form on the fixed interval [0, 1] that is better conditioned
-for small times.  Each solves one time for a number or a 1-D array of
-positions; the raw form and the reductions on the line share one batched
-cone-integral row core.
+regularized form, substituted so that its integrand stays O(1) as t -> 0.
+Both integrate only over the cone intersected with the support of f.  Each
+solves one time for a number or a 1-D array of positions; the raw form and
+the reductions on the line share one batched cone-integral row core.
 """
 
 from __future__ import annotations
@@ -129,34 +129,44 @@ def solve_cauchy_regularized(
 ):
     """Solution value u(t, x) via the substitution sinh(s/2) = z sinh(t/2).
 
-    Exact transform of solve_cauchy: the half-cone offset s maps to
-    z in [0, 1], giving the integrand
+    Exact transform of solve_cauchy: the signed offset s = x' - x in
+    [-t, t] maps to z in [-1, 1], giving the integrand
 
-        J0(2|k| sinh(t/2) sqrt(e^{x+x'} (1 - z^2)))
-          * [f(x + s(z)) + f(x - s(z))] * sinh(t/2) / sqrt(1 + z^2 sinh^2(t/2))
+        J0(2|k| sqrt(e^{x+x'} (sinh^2(t/2) - y^2))) f(x') sinh(t/2) / sqrt(1 + y^2)
 
-    with s(z) = 2 asinh(z sinh(t/2)) and x' = x +/- s(z) in the branch
-    that multiplies the matching f term.  The fixed interval makes the
-    small-time limit manifest: the integrand tends to f(x) * t.  x is a
-    number or a 1-D array, as for solve_cauchy; all positions share the
-    fixed nodes.
+    with y = z sinh(t/2) and x' = x + 2 asinh(y).  The branches x' >= x
+    and x' <= x are integrated apart, each only over the z interval whose
+    x' lie in the support of f, by composite Gauss-Legendre panels: f and
+    the kernel are never evaluated outside cone and support, and a branch
+    that misses the support adds exactly 0.0.  The integrand tends to
+    f(x) * t as t -> 0, which makes the small-time limit manifest.  x is a
+    number or a 1-D array, as for solve_cauchy.
     """
     quad, x = _positions(t, x, k, quad, panels)
-    xs = x[..., None]
-    zpts, wts = panel_points(quad, 0.0, 1.0, panels)
-    sh = math.sinh(0.5 * t)
-    s = 2.0 * np.arcsinh(zpts * sh)
-    xp_plus = xs + s
-    xp_minus = xs - s
-    amp = 2.0 * abs(k) * sh
-    one_minus = np.maximum(1.0 - zpts * zpts, 0.0)
-    # k = 0 gives z = 0 even where e^{x+x'} overflows; other overflows fail the row check
-    with np.errstate(over="ignore", invalid="ignore"):
-        z_plus = np.where(amp == 0.0, 0.0, amp * np.sqrt(np.exp(xs + xp_plus) * one_minus))
-        z_minus = np.where(amp == 0.0, 0.0, amp * np.sqrt(np.exp(xs + xp_minus) * one_minus))
-    jacobian = sh / np.sqrt(1.0 + (zpts * sh) ** 2)
-    integrand = (_j0(z_plus) * f(xp_plus) + _j0(z_minus) * f(xp_minus)) * jacobian
-    return _finished(t, x, weighted_sum(wts, integrand))
+    xs = x.reshape(-1)
+    n = xs.size
+    a, b = f.support
+    # signed offsets s = x' - x inside cone and support: row i < n is the branch s >= 0
+    # at xs[i], row n + i the branch s <= 0; z = sinh(s/2) / sinh(t/2) is odd in s
+    lo, hi = a - xs, b - xs
+    s_lo = np.concatenate([np.maximum(lo, 0.0), np.maximum(lo, -t)])
+    s_hi = np.concatenate([np.minimum(hi, t), np.minimum(hi, 0.0)])
+    live = np.flatnonzero(s_lo < s_hi)
+    sums = np.zeros(2 * n)
+    if live.size:
+        sh = math.sinh(0.5 * t)
+        y, wts = panel_points(quad, np.sinh(0.5 * s_lo[live]) / sh,
+                              np.sinh(0.5 * s_hi[live]) / sh, panels)
+        y *= sh  # nodes in z, scaled to y = z sinh(t/2)
+        yy = y * y
+        xl = xs[live % n, None]
+        xp = xl + 2.0 * np.arcsinh(y)
+        vals = f(xp) * (sh / np.sqrt(1.0 + yy))
+        if k != 0.0:  # k = 0 has J0 = 1, even where e^{x+x'} overflows
+            with np.errstate(over="ignore", invalid="ignore"):  # overflows fail the row check
+                vals *= _j0(2.0 * abs(k) * np.sqrt(np.exp(xl + xp) * (sh * sh - yy)))
+        sums[live] = weighted_sum(wts, vals)
+    return _finished(t, x, (sums[:n] + sums[n:]).reshape(x.shape))
 
 
 def small_time_slope(

@@ -130,20 +130,23 @@ def cone_row_per_point(kernel, f, t: float, xs, rule, panels: int = 8) -> np.nda
 
 
 def regularized_row_per_point(k: float, f, t: float, xs, rule, panels: int = 8) -> np.ndarray:
-    """Substituted fixed-interval form on [0, 1], x by x."""
-    zpts, wts = panel_points(rule, 0.0, 1.0, panels)
+    """Substituted form x by x: the branches x' >= x and x' <= x of cone and support, one at a time."""
+    a, b = f.support
     sh = math.sinh(0.5 * t)
     out = []
     for x in xs:
         x = float(x)
-        s = 2.0 * np.arcsinh(zpts * sh)
-        one_minus = np.maximum(1.0 - zpts * zpts, 0.0)
-        total = 0.0 * zpts
-        for xp in (x + s, x - s):
-            z = 2.0 * abs(k) * sh * np.sqrt(np.exp(x + xp) * one_minus)
-            total = total + j0(z) * f(xp)
-        jacobian = sh / np.sqrt(1.0 + (zpts * sh) ** 2)
-        out.append(float(np.dot(wts, total * jacobian)))
+        total = 0.0
+        # signed offsets s = x' - x of each branch
+        for s_lo, s_hi in ((max(a - x, 0.0), min(b - x, t)), (max(a - x, -t), min(b - x, 0.0))):
+            if s_lo >= s_hi:
+                continue
+            zpts, wts = panel_points(rule, np.sinh(0.5 * s_lo) / sh, np.sinh(0.5 * s_hi) / sh, panels)
+            y = zpts * sh
+            xp = x + 2.0 * np.arcsinh(y)
+            z = 2.0 * abs(k) * np.sqrt(np.exp(x + xp) * (sh * sh - y * y))
+            total += float(np.dot(wts, f(xp) * (sh / np.sqrt(1.0 + y * y)) * j0(z)))
+        out.append(total)
     return np.array(out)
 
 

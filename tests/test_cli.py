@@ -112,6 +112,14 @@ def test_overflowing_kernel_is_an_error_not_nan_rows(argv, capsys):
     assert captured.out == ""
 
 
+def test_regularized_solve_is_zero_where_the_cone_misses_an_overflowing_support(capsys):
+    rc = main(["solve", "--regularized", "--k", "1", "--profile", "bump:709:711", "--t", "1",
+               "--x-grid", "705:706:2", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert [r.split(",")[2] for r in _data_rows(captured.out)] == ["0", "0"]
+
+
 def _values(path):
     return np.array([float(r.split(",")[2]) for r in _data_rows(_read(path))])
 
@@ -143,17 +151,17 @@ def test_solve_rows_come_out_in_ascending_time(tmp_path):
     assert rows == _data_rows(_read(tmp_path / "asc.csv"))
 
 
-def test_solve_hyperbolic_doc_format(tmp_path):
-    out = tmp_path / "h.doc"
+def test_solve_hyperbolic_csv_record(tmp_path):
+    out = tmp_path / "h.csv"
     rc = main([
         "solve-hyperbolic", "--profile", "bump2:-1:1:1:2", "--w", "0,1.4",
-        "--t", "0.5,1", "--format", "doc", "--out", str(out), "--no-timestamp",
+        "--t", "0.5,1", "--out", str(out), "--no-timestamp",
     ])
     assert rc == 0
-    text = _read(out)
-    assert "columns: t,x,y,value" in text
-    assert "rows: 2" in text
-    assert "provenance: quadrature" in text
+    lines = _read(out).splitlines()
+    assert "# provenance: quadrature" in lines
+    assert lines[2] == "t,x,y,value"
+    assert len(_data_rows(_read(out))) == 2
 
 
 def test_limit_study_monotone(tmp_path):
@@ -230,6 +238,9 @@ def test_usage_and_config_errors_exit_one(capsys):
                  "--x-grid", "0:1:2"]) == 1
     assert main(["solve", "--k", "1"]) == 1
     assert main(["verify", "--suite", "no-such-suite"]) == 1
+    # the structured-text record was removed; the CSV record is the only format
+    assert main(["solve-hyperbolic", "--profile", "bump2:-1:1:1:2", "--w", "0,1.4",
+                 "--t", "1", "--format", "doc"]) == 1
     capsys.readouterr()
 
 
@@ -349,7 +360,6 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
     steps = [
         ["solve", "--regularized"] + plain[1:], plain,
         plain + ["--out", "out.csv"], plain,
-        plain + ["--format", "doc"], plain,
         ["solve", "--k", "1", "--no-timestamp"], plain,
         ["verify", "--suite", "always-fails", "--no-timestamp"],
     ]
@@ -389,18 +399,15 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
     provenance = [out.splitlines()[1] for _, out, _, _ in seen[:2]]
     assert provenance == ["# provenance: regularized", "# provenance: quadrature"]
     assert seen[2][1] == "" and seen[2][3] and seen[3][1] == seen[2][3]
-    assert seen[4][1].startswith("liouwave result record") and seen[5][1] == seen[1][1]
-    assert seen[6][0] == 1 and seen[7][0] == 0
-    assert seen[8][0] == 2 and "FAIL  [always-fails]" in seen[8][1]
+    assert seen[4][0] == 1 and seen[5][0] == 0 and seen[5][1] == seen[1][1]
+    assert seen[6][0] == 2 and "FAIL  [always-fails]" in seen[6][1]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "doc"])
-def test_rows_keep_17_significant_digits(fmt, capsys):
+def test_rows_keep_17_significant_digits(capsys):
     values = (0.0, -0.0, 5e-324, 1 / 3, 1e300, math.nan, math.inf, -math.inf)
     rows = [values, values[::-1], tuple(np.float64(v) for v in values)]
-    args = argparse.Namespace(format=fmt, no_timestamp=True, out=None)
+    args = argparse.Namespace(no_timestamp=True, out=None)
     _write_record(args, tuple(f"c{i}" for i in range(len(values))), rows, "closed-form", 0.0)
     lines = capsys.readouterr().out.splitlines()[-len(rows):]
     for line, row in zip(lines, rows):
-        fields = line.removeprefix("row: " if fmt == "doc" else "").split(",")
-        assert fields == [format(v, ".17g") for v in row]
+        assert line.split(",") == [format(v, ".17g") for v in row]

@@ -65,6 +65,14 @@ def test_regularized_equals_raw(bump):
         assert abs(raw - reg) <= 1e-9
 
 
+def test_regularized_splits_at_the_support_edges(bump):
+    # at t = 3 the cone outgrows the support, whose edges are kinks of the integrand
+    xs = np.linspace(-4.0, 4.0, 41)
+    ref = solve_cauchy(1.0, bump, 3.0, xs, gauss_legendre(32), 256)
+    reg = solve_cauchy_regularized(1.0, bump, 3.0, xs)
+    assert np.max(np.abs(reg - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_regularized_zero_coupling_is_cone_average(bump):
     for t, x in [(0.5, 0.1), (1.5, -0.2)]:
         assert solve_cauchy_regularized(0.0, bump, t, x) == pytest.approx(
@@ -191,6 +199,7 @@ def test_overflowing_kernel_raises_instead_of_nan():
     for solver in (solve_cauchy, solve_cauchy_regularized):
         with pytest.raises(DomainError, match="overflows"):
             solver(1.0, FAR_BUMP, 1.0, 710.0)
+        assert solver(1.0, FAR_BUMP, 1.0, 705.0) == 0.0  # the cone (704, 706) misses the support
     with pytest.raises(DomainError, match="x=710.0"):
         solve_cauchy(1.0, FAR_BUMP, 1.0, np.array([705.0, 710.0]))  # 705: cone misses support
 
