@@ -125,23 +125,27 @@ def _echo(args: argparse.Namespace, skip=("out", "no_timestamp", "func")) -> str
     return " ".join(pairs)
 
 
-def _write_record(args, columns, rows, provenance, started):
+def _emit(args, started, body, tee: bool = False) -> None:
+    """Write the record header, then the body lines, to --out or else stdout; tee writes both."""
     lines = []
     if not args.no_timestamp:
         wall = time.perf_counter() - started
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
     lines.append(f"# config: {_echo(args)}")
-    lines.append(f"# provenance: {provenance}")
-    lines.append(",".join(columns))
-    row_format = ",".join(["%.17g"] * len(columns))
-    lines.extend(row_format % row for row in rows)
+    lines.extend(body)
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    if tee or not args.out:
         sys.stdout.write(text)
+
+
+def _write_record(args, columns, rows, provenance, started):
+    row_format = ",".join(["%.17g"] * len(columns))
+    _emit(args, started, [f"# provenance: {provenance}", ",".join(columns),
+                          *(row_format % row for row in rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +200,6 @@ def _cmd_verify(args, started):
     names = list(SUITES) if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
     results = run_suites(names, dx=args.dx, dt=args.dt, cfl=args.cfl)
     lines = []
-    if not args.no_timestamp:
-        wall = time.perf_counter() - started
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines.append(f"# generated {stamp} wall_time_s={wall:.3f}")
-    lines.append(f"# config: {_echo(args)}")
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -210,11 +209,7 @@ def _cmd_verify(args, started):
         )
     failed = [r for r in results if not r.passed]
     lines.append(f"# {len(results) - len(failed)}/{len(results)} checks passed")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    _emit(args, started, lines, tee=True)
     return EXIT_VERIFY if failed else EXIT_OK
 
 

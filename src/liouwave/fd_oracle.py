@@ -156,7 +156,6 @@ def _run_leapfrog(f, cfg: FDConfig, record_times, potential_grid,
         recorded[0] = u_prev.copy()
     if 1 in snapped:
         recorded[1] = u.copy()
-    max_abs = float(np.max(np.abs(u)))
     cell_updates = 0
     for n in range(1, n_steps):
         u_next = spare
@@ -165,8 +164,6 @@ def _run_leapfrog(f, cfg: FDConfig, record_times, potential_grid,
             _leapfrog_update(u_next, u, u_prev, lo, hi, dt, inv_dx2, potential_grid,
                              half_damping, scratch)
             cell_updates += hi - lo
-            magnitude = np.abs(u_next[lo:hi], out=scratch[0, : hi - lo])
-            max_abs = max(max_abs, float(np.max(magnitude)))
         # u^1 may be nonzero on the ends, and its buffer comes back as u^4
         u_next[0] = 0.0
         u_next[-1] = 0.0
@@ -180,14 +177,7 @@ def _run_leapfrog(f, cfg: FDConfig, record_times, potential_grid,
         positions=x,
         values=np.vstack([recorded[i] for i in indices]),
         provenance="fd-oracle",
-        attrs={
-            "dt": dt,
-            "dx": dx,
-            "steps": n_steps,
-            "max_abs": max_abs,
-            "final_pair": (u_prev, u),
-            "cell_updates": cell_updates,
-        },
+        attrs={"dt": dt, "dx": dx, "steps": n_steps, "cell_updates": cell_updates},
     )
 
 

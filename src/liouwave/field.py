@@ -15,8 +15,8 @@ PROVENANCES = ("quadrature", "regularized", "fd-oracle", "closed-form")
 class SolutionField:
     """Solution samples u(t_i, x_j) with provenance and solver metadata.
 
-    attrs carries solver-specific data (actual dt, running max, final
-    leapfrog levels) without widening the type for every producer.
+    attrs carries solver-specific data (the leapfrog's dt, dx, steps and
+    cell_updates) without widening the type for every producer.
     """
 
     times: np.ndarray

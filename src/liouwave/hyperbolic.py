@@ -7,8 +7,9 @@ radial substitution q^2 = cosh t - cosh r remove the endpoint singularity
 exactly, so fixed-order quadrature converges fast.
 
 A frequency-domain route rebuilds the same solution from one-dimensional
-exponential-potential solves, giving a cross-check that shares no
-quadrature machinery with the disk integral.
+exponential-potential solves.  It checks a different formula, but not
+independently: it takes its nodes from panel_points, as the disk integral
+does, and its mode values from solve_cauchy.
 """
 
 from __future__ import annotations

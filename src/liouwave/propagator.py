@@ -71,6 +71,17 @@ def _finished(t: float, x: np.ndarray, u):
     return float(u) if u.ndim == 0 else u
 
 
+def _cone_offsets(t: float, xs: np.ndarray, support) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the signed offsets s = x' - x of cone and support: [max(a - x, -t), min(b - x, t)].
+
+    Taken from a - x, b - x and t directly, the interval length carries no
+    eps * |x| rounding from the ends x -+ t, which dominates at small t.
+    The interval is empty (lo >= hi) where the cone misses the support.
+    """
+    a, b = support
+    return np.maximum(a - xs, -t), np.minimum(b - xs, t)
+
+
 def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
     """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' for each x.
 
@@ -83,16 +94,16 @@ def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
     """
     quad, x = _positions(t, x, coupling, quad, panels)
     xs = x.reshape(-1)
-    a, b = f.support
-    lo = np.maximum(xs - t, a)
-    hi = np.minimum(xs + t, b)
+    lo, hi = _cone_offsets(t, xs, f.support)
     live = np.flatnonzero(lo < hi)
     out = np.zeros(xs.shape)
     if live.size:
         if np.ndim(coupling):
             coupling = np.asarray(coupling, dtype=float)[live, None]
         pts, wts = panel_points(quad, lo[live], hi[live], panels)
-        vals = kernel(argument(t, xs[live, None], pts, coupling)) * f(pts)
+        xl = xs[live, None]
+        pts += xl  # offsets s to nodes x' = x + s
+        vals = kernel(argument(t, xl, pts, coupling)) * f(pts)
         out[live] = 0.5 * weighted_sum(wts, vals)
     return _finished(t, x, out.reshape(x.shape))
 
@@ -145,12 +156,11 @@ def solve_cauchy_regularized(
     quad, x = _positions(t, x, k, quad, panels)
     xs = x.reshape(-1)
     n = xs.size
-    a, b = f.support
     # signed offsets s = x' - x inside cone and support: row i < n is the branch s >= 0
     # at xs[i], row n + i the branch s <= 0; z = sinh(s/2) / sinh(t/2) is odd in s
-    lo, hi = a - xs, b - xs
-    s_lo = np.concatenate([np.maximum(lo, 0.0), np.maximum(lo, -t)])
-    s_hi = np.concatenate([np.minimum(hi, t), np.minimum(hi, 0.0)])
+    lo, hi = _cone_offsets(t, xs, f.support)
+    s_lo = np.concatenate([np.maximum(lo, 0.0), lo])
+    s_hi = np.concatenate([hi, np.minimum(hi, 0.0)])
     live = np.flatnonzero(s_lo < s_hi)
     sums = np.zeros(2 * n)
     if live.size:

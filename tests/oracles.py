@@ -115,16 +115,20 @@ def telegraph_kernel(alpha: float, beta: float, t: float):
 
 
 def cone_row_per_point(kernel, f, t: float, xs, rule, panels: int = 8) -> np.ndarray:
-    """(1/2) * composite-rule integral of kernel(x, x') f(x') over the cone, x by x."""
+    """(1/2) * composite-rule integral of kernel(x, x') f(x') over the cone, x by x.
+
+    The nodes are x + s for the signed offsets s = x' - x of cone and support.
+    """
     a, b = f.support
     out = []
     for x in xs:
         x = float(x)
-        lo, hi = max(x - t, a), min(x + t, b)
-        if lo >= hi:
+        s_lo, s_hi = max(a - x, -t), min(b - x, t)
+        if s_lo >= s_hi:
             out.append(0.0)
             continue
-        pts, wts = panel_points(rule, lo, hi, panels)
+        s, wts = panel_points(rule, s_lo, s_hi, panels)
+        pts = x + s
         out.append(0.5 * float(np.dot(wts, kernel(x, pts) * f(pts))))
     return np.array(out)
 
@@ -185,7 +189,7 @@ def leapfrog_full_domain(f, cfg, potential, damping_sum=None, record_times=None)
     damping_sum = None is the undamped wave equation with potential the
     grid values of V; otherwise the damped line with potential the number
     alpha * beta.
-    Returns (times, values, max_abs, final_pair).
+    Returns (times, values).
     """
     x = cfg.grid()
     dx = float(x[1] - x[0])
@@ -203,7 +207,6 @@ def leapfrog_full_domain(f, cfg, potential, damping_sum=None, record_times=None)
     u_prev = np.zeros_like(x)
     u = dt * (1.0 if hs is None else 1.0 - hs) * f(x)
     recorded = {i: level.copy() for i, level in ((0, u_prev), (1, u)) if i in snapped}
-    max_abs = float(np.max(np.abs(u)))
     for n in range(1, n_steps):
         lap = np.zeros_like(u)
         lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
@@ -215,9 +218,7 @@ def leapfrog_full_domain(f, cfg, potential, damping_sum=None, record_times=None)
         u_next[0] = 0.0
         u_next[-1] = 0.0
         u_prev, u = u, u_next
-        max_abs = max(max_abs, float(np.max(np.abs(u))))
         if n + 1 in snapped:
             recorded[n + 1] = u.copy()
     indices = sorted(snapped)
-    return (np.array([snapped[i] for i in indices]), np.vstack([recorded[i] for i in indices]),
-            max_abs, (u_prev, u))
+    return np.array([snapped[i] for i in indices]), np.vstack([recorded[i] for i in indices])

@@ -55,8 +55,20 @@ def test_initial_row_is_zero_and_finite_speed(bump):
 
 def test_stability_bound(bump):
     cfg = _free_wave_cfg()
-    field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg)
-    assert field.attrs["max_abs"] <= 10.0 * np.exp(-1.0) * cfg.t_final
+    dt = cfg.time_step()
+    every_step = dt * np.arange(cfg.step_count() + 1)
+    field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg, record_times=every_step)
+    assert len(field.times) == cfg.step_count() + 1
+    assert np.max(np.abs(field.values)) <= 10.0 * np.exp(-1.0) * cfg.t_final
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cfg, f: fd_wave_solve(lambda x: 0.0 * x, f, cfg),
+    lambda cfg, f: fd_telegraph_solve(TelegraphParams(0.5, 1.5), f, cfg),
+], ids=["wave", "telegraph"])
+def test_leapfrog_attrs_are_the_step_metadata(bump, solve):
+    field = solve(_free_wave_cfg(dx=1e-2), bump)
+    assert field.attrs.keys() == {"dt", "dx", "steps", "cell_updates"}
 
 
 def test_cfl_violation_rejected():
@@ -78,9 +90,11 @@ def test_non_finite_potential_rejected(bump):
 
 def test_leapfrog_time_reversal(bump):
     cfg = FDConfig(x_min=-3.5, x_max=3.5, dx=5e-3, t_final=1.0)
-    field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg)
-    u_prev, u = field.attrs["final_pair"]
-    dt = field.attrs["dt"]
+    dt = cfg.time_step()
+    field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg,
+                          record_times=(cfg.t_final - dt, cfg.t_final))
+    assert len(field.times) == 2
+    u_prev, u = field.values
     dx = field.attrs["dx"]
     v_grid = np.exp(2.0 * field.positions)
     # the undamped update is symmetric in time: stepping backward from the
@@ -182,12 +196,9 @@ def test_light_cone_window_is_bitwise_the_full_domain_loop(bump, case):
         alpha, beta = equation
         field = fd_telegraph_solve(TelegraphParams(alpha, beta), profile, cfg, record_times)
         ref = leapfrog_full_domain(profile, cfg, alpha * beta, alpha + beta, record_times)
-    times, values, max_abs, (prev, cur) = ref
+    times, values = ref
     assert _same_bits(field.times, times)
     assert _same_bits(field.values, values)
-    assert field.attrs["max_abs"] == max_abs
-    assert _same_bits(field.attrs["final_pair"][0], prev)
-    assert _same_bits(field.attrs["final_pair"][1], cur)
     if case == "zero-on-every-node":
         assert not np.any(field.values) and field.attrs["cell_updates"] == 0
     if case.startswith("reaches-both-ends"):

@@ -86,6 +86,17 @@ def test_regularized_value_linear_in_small_time(bump):
     assert vals[2] / vals[1] == pytest.approx(2.0, rel=1e-4)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda f, t, x: solve_cauchy(0.0, f, t, x),
+    lambda f, t, x: constant_potential_solve(0.0, f, t, x),
+    lambda f, t, x: telegraph_solve(TelegraphParams(0.0, 0.0), f, t, x),
+], ids=["raw", "constant", "telegraph"])
+def test_cone_row_keeps_small_time_accuracy_far_from_the_origin(solve):
+    # the cone length 2t must not carry the eps * |x| rounding of (x + t) - (x - t)
+    f, t, x = BumpProfile(99.0, 101.0), 1e-6, 100.3
+    assert abs(solve(f, t, x) / t - f(x)) <= 1e-12
+
+
 def test_panel_doubling_contracts_raw_regularized_gap(bump):
     rule = gauss_legendre(16)
     gaps = []
