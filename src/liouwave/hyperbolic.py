@@ -246,12 +246,14 @@ def hyperbolic_fourier_check(
     big_x = math.log(w.y)
 
     # Fourier transform of the x factor on its support, one oscillatory
-    # quadrature per frequency node
+    # quadrature per frequency node.  One dot per row: the single matrix-vector
+    # product is large enough for OpenBLAS to hand to its worker threads,
+    # and about one call in 200 then waits milliseconds for a thread to wake.
     gpts, gwts = panel_points(quad, gx0, gx1, panels)
     gvals = g(gpts)
     freqs = np.linspace(0.0, freq_max, n_freq + 1)
     phases = np.exp(-1j * np.outer(freqs, gpts))
-    ghat = phases @ (gwts * gvals)
+    ghat = weighted_sum(gwts * gvals, phases)
 
     # one line solve per frequency, all at the observation's X in one row
     mode_values = solve_cauchy(freqs, line_data, t, np.full(freqs.shape, big_x), quad, panels)
