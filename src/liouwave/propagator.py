@@ -5,7 +5,7 @@ integrating the first-kind kernel against f over the domain of dependence.
 Two exact forms are provided: the raw light-cone integral and a
 regularized form, substituted so that its integrand stays O(1) as t -> 0.
 Both integrate only over the cone intersected with the support of f.  Each
-solves one time for a number or a 1-D array of positions; the raw form and
+solves one time for a number or a 1-D array of positions; both forms and
 the reductions on the line share one batched cone-integral row core.
 """
 
@@ -82,29 +82,51 @@ def _cone_offsets(t: float, xs: np.ndarray, support) -> tuple[np.ndarray, np.nda
     return np.maximum(a - xs, -t), np.minimum(b - xs, t)
 
 
-def _cone_row(t, x, coupling, argument, kernel, f, quad, panels):
+def _support_rows(t, quad, lo, hi, panels):
+    """Rule rows: the composite rule on each nonempty offset interval [lo, hi]."""
+    live = np.flatnonzero(lo < hi)
+    return (live, *panel_points(quad, lo[live], hi[live], panels))
+
+
+def _regularized_rows(t, quad, lo, hi, panels):
+    """Rule rows in z = sinh(s/2) / sinh(t/2), which is odd in s: two a position.
+
+    Row i < n is the branch s >= 0 of position i, row n + i its branch s <= 0.
+    With y = z sinh(t/2), s = 2 asinh(y) and ds = 2 sinh(t/2) dz / sqrt(1 + y^2).
+    """
+    sh = math.sinh(0.5 * t)
+    z_lo = np.sinh(0.5 * np.concatenate([np.maximum(lo, 0.0), lo])) / sh
+    z_hi = np.sinh(0.5 * np.concatenate([hi, np.minimum(hi, 0.0)])) / sh
+    live = np.flatnonzero(z_lo < z_hi)  # not s_lo < s_hi: a sliver of s can round to one z
+    y, wts = panel_points(quad, z_lo[live], z_hi[live], panels)
+    y *= sh
+    wts *= 2.0 * sh / np.sqrt(1.0 + y * y)
+    return live % lo.size, 2.0 * np.arcsinh(y), wts
+
+
+def _cone_row(t, x, coupling, argument, kernel, f, quad, panels, rule_rows=_support_rows):
     """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' for each x.
 
-    The integral runs over the cone (x - t, x + t) intersected with the
-    support of f, by composite Gauss-Legendre panels; every (position x
-    node) array is built at once, so one profile call, one kernel call
-    and one weighted sum serve the whole row.  Positions whose cone misses
-    the support are exactly 0.0.  x is a number (a float is returned) or
-    a 1-D array; coupling is a number or an array matching x.
+    The integral runs over the cone intersected with the support of f, on
+    the rows that rule_rows(t, quad, lo, hi, panels) gives for the offset
+    intervals of _cone_offsets: each row's position index, offset nodes
+    s = x' - x and weights.  All (row x node) arrays are built at once, and
+    each row is added into its position; a position no row reaches is
+    exactly 0.0.  x is a number (a float is returned) or a 1-D array;
+    coupling is a number or an array matching x.
     """
     quad, x = _positions(t, x, coupling, quad, panels)
     xs = x.reshape(-1)
     lo, hi = _cone_offsets(t, xs, f.support)
-    live = np.flatnonzero(lo < hi)
     out = np.zeros(xs.shape)
-    if live.size:
+    if (lo < hi).any():
+        rows, pts, wts = rule_rows(t, quad, lo, hi, panels)
         if np.ndim(coupling):
-            coupling = np.asarray(coupling, dtype=float)[live, None]
-        pts, wts = panel_points(quad, lo[live], hi[live], panels)
-        xl = xs[live, None]
+            coupling = np.asarray(coupling, dtype=float)[rows, None]
+        xl = xs[rows, None]
         pts += xl  # offsets s to nodes x' = x + s
         vals = kernel(argument(t, xl, pts, coupling)) * f(pts)
-        out[live] = 0.5 * weighted_sum(wts, vals)
+        np.add.at(out, rows, 0.5 * weighted_sum(wts, vals))
     return _finished(t, x, out.reshape(x.shape))
 
 
@@ -131,7 +153,7 @@ def solve_cauchy(
 
 
 def solve_cauchy_regularized(
-    k: float,
+    k,
     f: InitialProfile,
     t: float,
     x,
@@ -143,40 +165,16 @@ def solve_cauchy_regularized(
     Exact transform of solve_cauchy: the signed offset s = x' - x in
     [-t, t] maps to z in [-1, 1], giving the integrand
 
-        J0(2|k| sqrt(e^{x+x'} (sinh^2(t/2) - y^2))) f(x') sinh(t/2) / sqrt(1 + y^2)
+        J0(kernel_argument(t, x, x', k)) f(x') sinh(t/2) / sqrt(1 + y^2)
 
     with y = z sinh(t/2) and x' = x + 2 asinh(y).  The branches x' >= x
     and x' <= x are integrated apart, each only over the z interval whose
-    x' lie in the support of f, by composite Gauss-Legendre panels: f and
-    the kernel are never evaluated outside cone and support, and a branch
+    x' lie in the support of f, on the row core of solve_cauchy; a branch
     that misses the support adds exactly 0.0.  The integrand tends to
-    f(x) * t as t -> 0, which makes the small-time limit manifest.  x is a
-    number or a 1-D array, as for solve_cauchy.
+    f(x) * t as t -> 0, which makes the small-time limit manifest.  x and
+    k are as for solve_cauchy (k may be an array matching x).
     """
-    quad, x = _positions(t, x, k, quad, panels)
-    xs = x.reshape(-1)
-    n = xs.size
-    # signed offsets s = x' - x inside cone and support: row i < n is the branch s >= 0
-    # at xs[i], row n + i the branch s <= 0; z = sinh(s/2) / sinh(t/2) is odd in s
-    lo, hi = _cone_offsets(t, xs, f.support)
-    s_lo = np.concatenate([np.maximum(lo, 0.0), lo])
-    s_hi = np.concatenate([hi, np.minimum(hi, 0.0)])
-    live = np.flatnonzero(s_lo < s_hi)
-    sums = np.zeros(2 * n)
-    if live.size:
-        sh = math.sinh(0.5 * t)
-        y, wts = panel_points(quad, np.sinh(0.5 * s_lo[live]) / sh,
-                              np.sinh(0.5 * s_hi[live]) / sh, panels)
-        y *= sh  # nodes in z, scaled to y = z sinh(t/2)
-        yy = y * y
-        xl = xs[live % n, None]
-        xp = xl + 2.0 * np.arcsinh(y)
-        vals = f(xp) * (sh / np.sqrt(1.0 + yy))
-        if k != 0.0:  # k = 0 has J0 = 1, even where e^{x+x'} overflows
-            with np.errstate(over="ignore", invalid="ignore"):  # overflows fail the row check
-                vals *= _j0(2.0 * abs(k) * np.sqrt(np.exp(xl + xp) * (sh * sh - yy)))
-        sums[live] = weighted_sum(wts, vals)
-    return _finished(t, x, (sums[:n] + sums[n:]).reshape(x.shape))
+    return _cone_row(t, x, k, sinh_argument, _j0, f, quad, panels, _regularized_rows)
 
 
 def small_time_slope(

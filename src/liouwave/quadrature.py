@@ -56,9 +56,9 @@ def panel_points(rule: QuadratureRule, lo, hi, panels: int = 1):
 
     Nodes are strictly interior to each panel, so integrands that are
     singular or undefined exactly at lo or hi are never evaluated there.
-    lo and hi may also be equal-length 1-D arrays of interval ends; the
-    nodes and weights are then one row per interval, each bitwise the
-    nodes that interval gets alone.
+    lo and hi may also be equal-length 1-D arrays of interval ends (empty
+    ones too); the nodes and weights are then one row per interval, each
+    bitwise the nodes that interval gets alone.
     """
     if panels < 1:
         raise ConfigError(f"panel count must be >= 1, got {panels}")
@@ -67,7 +67,7 @@ def panel_points(rule: QuadratureRule, lo, hi, panels: int = 1):
     edges = np.linspace(lo, hi, panels + 1).T
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    shape = (*np.shape(lo), -1)
+    shape = (*np.shape(lo), panels * rule.order)
     pts = (mid[..., None] + half[..., None] * rule.nodes).reshape(shape)
     wts = (half[..., None] * rule.weights).reshape(shape)
     return pts, wts

@@ -90,11 +90,12 @@ def test_scalar_position_returns_python_float(solver):
     assert batched(f, 1.0, 0.2) == batched(f, 1.0, np.array([0.2]))[0]
 
 
-def test_coupling_array_pairs_with_positions():
+@pytest.mark.parametrize("solve", [solve_cauchy, solve_cauchy_regularized], ids=["raw", "regularized"])
+def test_coupling_array_pairs_with_positions(solve):
     f = PROFILES["bump"]
     xs = np.linspace(-3.0, 3.5, 27)
     ks = np.linspace(0.0, 4.0, xs.size)
-    row = solve_cauchy(ks, f, 1.1, xs, RULE)
-    single = [solve_cauchy(k, f, 1.1, x, RULE) for k, x in zip(ks, xs)]
+    row = solve(ks, f, 1.1, xs, RULE)
+    single = [solve(k, f, 1.1, x, RULE) for k, x in zip(ks, xs)]
     assert np.array_equal(row, single)
     assert np.any(row == 0.0) and np.any(row != 0.0)

@@ -120,6 +120,15 @@ def test_regularized_solve_is_zero_where_the_cone_misses_an_overflowing_support(
     assert [r.split(",")[2] for r in _data_rows(captured.out)] == ["0", "0"]
 
 
+def test_regularized_solve_at_a_cone_edge_inside_the_support_exits_zero(capsys):
+    rc = main(["solve", "--regularized", "--k", "3",
+               "--profile", "bump:-1.780429782827102:-0.6359219853352607", "--t", "1.7",
+               "--x-grid=-3.480429782827102:-3.480429782827102:1", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert [r.split(",")[2] for r in _data_rows(captured.out)] == ["0"]
+
+
 def _values(path):
     return np.array([float(r.split(",")[2]) for r in _data_rows(_read(path))])
 

@@ -202,6 +202,26 @@ def test_line_solvers_reject_non_finite_coupling(bump, solver, k):
         LINE_SOLVERS[solver](k, bump, 1.0, 0.3)
 
 
+# a cone end a few ulps inside a support edge: there y^2 can round above sinh^2(t/2),
+# a sliver of offsets can round to one z (for one or both branches of a position),
+# and the bump's s * s can round to 1
+CONE_EDGE_CASES = [
+    (3.0, BumpProfile(-1.780429782827102, -0.6359219853352607), 1.7, -3.480429782827102),
+    (0.1233023646807786, BumpProfile(-1.831093499536172, 1.667268360598781), 0.9847565024873025,
+     -2.8158500020234745),
+    (0.5, BumpProfile(-1.039633339403936, 1.1944057833261639), 1.0, 2.1944057833261637),
+    (1.0, BumpProfile(-1.0, 1.0), 1.0, 2.0 - 1e-14),
+    (1.0, BumpProfile(0.0, 1.0), 2.0, -2.0 + 2.0**-52),
+]
+
+
+@pytest.mark.parametrize("solver", sorted(LINE_SOLVERS))
+@pytest.mark.parametrize("case", range(len(CONE_EDGE_CASES)))
+def test_cone_edges_just_inside_the_support_give_zero(solver, case):
+    k, f, t, x = CONE_EDGE_CASES[case]
+    assert LINE_SOLVERS[solver](k, f, t, x) == 0.0
+
+
 # e^{(x+x')/2} overflows near x + x' = 1420, where the true solution is finite
 FAR_BUMP = BumpProfile(709.0, 711.0)
 

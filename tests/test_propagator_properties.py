@@ -1,8 +1,11 @@
-"""Property test of the two exact line forms: raw and regularized agree on random inputs.
+"""Property tests of the line solvers on random inputs.
 
-Both integrate only over the cone intersected with the support, so at
-order 32 x 8 panels they agree to the bound of the `dalembert` suite on
-any bump support, and both are exactly 0.0 where the cone misses it.
+The two exact line forms, raw and regularized, integrate only over the
+cone intersected with the support, so at order 32 x 8 panels they agree
+to the bound of the `dalembert` suite on any bump support, and both are
+exactly 0.0 where the cone misses it.  All four line solvers stay finite
+where the cone's ends meet the support's edges, and a batched row equals
+the single-position solves bitwise.
 """
 
 import numpy as np
@@ -11,7 +14,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from liouwave import BumpProfile, gauss_legendre, solve_cauchy, solve_cauchy_regularized  # noqa: E402
+from liouwave import (  # noqa: E402
+    BumpProfile,
+    TelegraphParams,
+    constant_potential_solve,
+    gauss_legendre,
+    solve_cauchy,
+    solve_cauchy_regularized,
+    telegraph_solve,
+)
 
 RULE = gauss_legendre(32)
 
@@ -34,3 +45,48 @@ def test_raw_and_regularized_agree_and_vanish_off_the_cone(a, width, k, t, offse
     assert np.max(np.abs(raw - reg)) <= 1e-9
     outside = (xs + t <= a) | (xs - t >= b)
     assert np.all(raw[outside] == 0.0) and np.all(reg[outside] == 0.0)
+
+
+def _line_solves(k, beta):
+    """(solver, coupling) of the four line solvers."""
+    return [
+        (solve_cauchy, k),
+        (solve_cauchy_regularized, k),
+        (constant_potential_solve, k),
+        (telegraph_solve, TelegraphParams(k, beta)),
+    ]
+
+
+LINE_INPUTS = dict(
+    a=st.floats(-4.0, 3.0),
+    width=st.floats(0.3, 4.0),
+    t=st.floats(1e-3, 6.0),
+    k=st.floats(0.0, 3.0),
+    beta=st.floats(0.0, 3.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**LINE_INPUTS)
+def test_cone_ends_at_the_support_edges_give_finite_values(a, width, t, k, beta):
+    f = BumpProfile(a, a + width)
+    a, b = f.support
+    # x = a - t and x = b + t, rounded as floats, and their neighbours: the cone end
+    # x + t or x - t then lies within an ulp or so of a support edge, on either side
+    ends = np.array([a - t, b + t])
+    xs = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    for solve, coupling in _line_solves(k, beta):
+        assert np.all(np.isfinite(solve(coupling, f, t, xs)))
+        for x in xs:
+            assert np.isfinite(solve(coupling, f, t, float(x)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(offsets=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12), **LINE_INPUTS)
+def test_batched_rows_equal_single_position_solves(a, width, t, k, beta, offsets):
+    f = BumpProfile(a, a + width)
+    a, b = f.support
+    xs = 0.5 * (a + b) + np.array(offsets) * (0.5 * (b - a) + t + 0.5)
+    for solve, coupling in _line_solves(k, beta):
+        row = solve(coupling, f, t, xs)
+        assert np.array_equal(row, [solve(coupling, f, t, float(x)) for x in xs])

@@ -56,6 +56,8 @@ def test_panel_points_rows_equal_single_intervals_bitwise():
         assert np.array_equal(pts[i], p) and np.array_equal(wts[i], w)
     with pytest.raises(ConfigError):
         panel_points(rule, lo, lo, 8)
+    no_pts, no_wts = panel_points(rule, lo[:0], hi[:0], 8)
+    assert no_pts.shape == no_wts.shape == (0, 128)
 
 
 def test_weighted_sum_rows_equal_dot_bitwise():
