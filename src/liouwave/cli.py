@@ -198,7 +198,7 @@ def _cmd_solve_hyperbolic(args, started):
 
 def _cmd_verify(args, started):
     names = list(SUITES) if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    results = run_suites(names, dx=args.dx, dt=args.dt, cfl=args.cfl)
+    results = run_suites(names, dx=args.dx, cfl=args.cfl)
     lines = []
     width = max(len(r.name) for r in results)
     for r in results:
@@ -312,10 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="comma-separated suite names or 'all'")
     p.add_argument("--dx", type=_finite, default=None,
                    help="mesh override for the finite-difference suites")
-    p.add_argument("--dt", type=_finite, default=None,
-                   help="time-step override for the finite-difference suites")
     p.add_argument("--cfl", type=_finite, default=None,
-                   help="stability-safety override for the finite-difference suites")
+                   help="time step as a fraction of dx for the finite-difference suites")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -332,33 +330,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True)
     p.add_argument("--x-grid", required=True)
     p.add_argument("--max-panels", type=int, default=64)
-    _add_quad_flags(p)
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_convergence)
 
     return parser
 
 
-# flags whose values may legitimately begin with '-' (negative bounds);
-# argparse would otherwise read the value as an unknown option
-_VALUE_FLAGS = frozenset({
-    "--k", "--t", "--x-grid", "--xp", "--coef-a", "--coef-b",
-    "--alpha", "--beta", "--w", "--lambdas", "--profile",
-})
+# argparse reads '-1e-3' or '-3:3:7' as an unknown option, where a plain negative
+# number would be a value; every liouwave option but -h is long, so a one-dash
+# token after an option that takes a value is that value
+@functools.cache
+def _value_options() -> frozenset[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(opt for p in sub.choices.values() for a in p._actions
+                     if a.nargs is None for opt in a.option_strings)
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
+    value_options = _value_options()
     merged = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-") and not nxt.startswith("--"):
-            merged.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if merged and merged[-1] in value_options and tok.startswith("-") and not tok.startswith("--"):
+            merged[-1] += "=" + tok
         else:
             merged.append(tok)
-            i += 1
     return merged
 
 

@@ -35,15 +35,14 @@ class FDConfig:
 
     The domain must pad the initial support by at least t_final + 1 on
     each side: with unit wave speed the Dirichlet boundaries then never
-    influence the comparison region.  dt defaults to cfl_safety * dx and
-    is snapped so an integer number of steps lands exactly on t_final.
+    influence the comparison region.  The step is cfl_safety * dx, snapped
+    down so an integer number of steps lands exactly on t_final.
     """
 
     x_min: float
     x_max: float
     dx: float
     t_final: float
-    dt: float | None = None
     cfl_safety: float = DEFAULT_CFL
 
     def __post_init__(self) -> None:
@@ -55,19 +54,13 @@ class FDConfig:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ConfigError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety}")
-        if self.dt is not None and not (0.0 < self.dt <= self.cfl_safety * self.dx):
-            raise ConfigError(
-                f"dt = {self.dt} violates the stability bound "
-                f"cfl_safety * dx = {self.cfl_safety * self.dx}"
-            )
 
     def grid(self) -> np.ndarray:
         n = int(round((self.x_max - self.x_min) / self.dx)) + 1
         return np.linspace(self.x_min, self.x_max, n)
 
     def step_count(self) -> int:
-        base = self.dt if self.dt is not None else self.cfl_safety * self.dx
-        return max(int(math.ceil(self.t_final / base - 1e-12)), 1)
+        return max(int(math.ceil(self.t_final / (self.cfl_safety * self.dx) - 1e-12)), 1)
 
     def time_step(self) -> float:
         return self.t_final / self.step_count()

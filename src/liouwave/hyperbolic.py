@@ -149,9 +149,13 @@ def _radial_nodes(t: float, quad: QuadratureRule, panels: int):
     constant 2 dq, so weights need no kernel factor and integrands in q
     are smooth up to the disk edge and center.
     """
+    try:
+        cosh_t = math.cosh(t)
+    except OverflowError:
+        raise DomainError(f"disk rule overflows at t={t} (cosh t)") from None
     q_edge = math.sqrt(2.0) * math.sinh(0.5 * t)
     q, wq = panel_points(quad, 0.0, q_edge, panels)
-    cosh_r = np.maximum(math.cosh(t) - q * q, 1.0)
+    cosh_r = np.maximum(cosh_t - q * q, 1.0)
     r = np.arccosh(cosh_r)
     return q, 2.0 * wq, r
 

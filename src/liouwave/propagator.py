@@ -94,7 +94,10 @@ def _regularized_rows(t, quad, lo, hi, panels):
     Row i < n is the branch s >= 0 of position i, row n + i its branch s <= 0.
     With y = z sinh(t/2), s = 2 asinh(y) and ds = 2 sinh(t/2) dz / sqrt(1 + y^2).
     """
-    sh = math.sinh(0.5 * t)
+    try:
+        sh = math.sinh(0.5 * t)
+    except OverflowError:
+        raise DomainError(f"regularized solve overflows at t={t} (sinh(t/2))") from None
     z_lo = np.sinh(0.5 * np.concatenate([np.maximum(lo, 0.0), lo])) / sh
     z_hi = np.sinh(0.5 * np.concatenate([hi, np.minimum(hi, 0.0)])) / sh
     live = np.flatnonzero(z_lo < z_hi)  # not s_lo < s_hi: a sliver of s can round to one z

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import j0 as _sj0, y0 as _sy0
 
 from .errors import ConfigError
-from .fd_oracle import FDConfig, fd_telegraph_solve, fd_wave_solve
+from .fd_oracle import DEFAULT_CFL, FDConfig, fd_telegraph_solve, fd_wave_solve
 from .hyperbolic import (
     HyperbolicPoint,
     bump_profile_2d,
@@ -63,6 +63,8 @@ PARTIALS_TS = np.linspace(0.5, 3.0, 5)
 PARTIALS_XS = np.linspace(-1.0, 1.0, 5)
 PARTIALS_KS = (0.5, 1.0, 2.0)
 CONE_MARGIN = 0.3
+
+FD_DX = 1e-3  # leapfrog mesh of the oracle and telegraph suites
 
 ORACLE_X_TARGETS = np.linspace(-3.0, 3.0, 41)
 ORACLE_TIMES = (0.5, 1.0, 2.0)
@@ -209,18 +211,18 @@ def _closed_form_rows(field, targets, solver, coupling):
     return field.values[:, idx], closed.values
 
 
-def _oracle_rel_errors(dx: float, dt, cfl: float) -> float:
+def _oracle_rel_errors(dx: float, cfl: float) -> float:
     bump = BumpProfile(-1.0, 1.0)
-    cfg = FDConfig(x_min=-4.5, x_max=4.5, dx=dx, t_final=2.0, dt=dt, cfl_safety=cfl)
+    cfg = FDConfig(x_min=-4.5, x_max=4.5, dx=dx, t_final=2.0, cfl_safety=cfl)
     field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg, record_times=ORACLE_TIMES)
     fd_vals, quad_vals = _closed_form_rows(field, ORACLE_X_TARGETS, solve_cauchy, 1.0)
     gap = np.max(np.abs(fd_vals - quad_vals), axis=1)
     return float(np.max(gap / np.max(np.abs(quad_vals), axis=1)))
 
 
-def suite_oracle(dx: float = 1e-3, dt: float | None = None, cfl: float = 0.9) -> list[CheckResult]:
-    err_coarse = _oracle_rel_errors(dx, dt, cfl)
-    err_fine = _oracle_rel_errors(0.5 * dx, 0.5 * dt if dt else None, cfl)
+def suite_oracle(dx: float = FD_DX, cfl: float = DEFAULT_CFL) -> list[CheckResult]:
+    err_coarse = _oracle_rel_errors(dx, cfl)
+    err_fine = _oracle_rel_errors(0.5 * dx, cfl)
     ratio = err_coarse / err_fine
     return [
         _check("oracle", "quadrature matches leapfrog on the standard case",
@@ -270,10 +272,9 @@ def _telegraph_rel_error(field, params: TelegraphParams, coupling: float,
     return float(np.max(gap / np.max(np.abs(fd_vals), axis=1)))
 
 
-def suite_telegraph(dx: float = 1e-3, dt: float | None = None, cfl: float = 0.9) -> list[CheckResult]:
+def suite_telegraph(dx: float = FD_DX, cfl: float = DEFAULT_CFL) -> list[CheckResult]:
     bump = BumpProfile(-1.0, 1.0)
-    cfg = FDConfig(x_min=-3.5, x_max=3.5, dx=dx, t_final=max(TELEGRAPH_TIMES),
-                   dt=dt, cfl_safety=cfl)
+    cfg = FDConfig(x_min=-3.5, x_max=3.5, dx=dx, t_final=max(TELEGRAPH_TIMES), cfl_safety=cfl)
     checks = []
     fields = {}
     for alpha, beta in TELEGRAPH_PAIRS:

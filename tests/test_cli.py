@@ -1,6 +1,8 @@
 import argparse
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from liouwave import (
     telegraph_solve,
     write_profile_csv,
 )
+from liouwave import cli
 from liouwave.cli import _write_record, build_parser, main
 from liouwave.verification import CheckResult, SUITES
 
@@ -109,6 +112,20 @@ def test_overflowing_kernel_is_an_error_not_nan_rows(argv, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--regularized", "--k", "1", "--profile", "bump:-1:1", "--t", "1500",
+     "--x-grid", "0:1:2"],
+    ["solve-hyperbolic", "--profile", "bump2:-1:1:1:2", "--w", "0,1.4", "--t", "720"],
+], ids=["regularized", "hyperbolic"])
+def test_time_beyond_the_float_range_is_an_error_not_a_traceback(argv, capsys):
+    rc = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "overflows at t=" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 
@@ -305,6 +322,90 @@ def test_timestamp_header_present_by_default(tmp_path):
     first = _read(out).splitlines()[0]
     assert first.startswith("# generated ")
     assert "wall_time_s=" in first
+
+
+@pytest.mark.parametrize("argv", [
+    _CONVERGENCE + ["--panels", "3"],  # convergence doubles the panel count itself
+    ["verify", "--suite", "telegraph", "--dt", "1e-3"],  # the step is --cfl times --dx
+], ids=["convergence --panels", "verify --dt"])
+def test_options_a_command_does_not_read_exit_one(argv, capsys):
+    rc = main(argv + ["--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+    assert captured.out == ""
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# a minimal accepted argv of each subcommand
+_MINIMAL = {
+    "eval-kernel": _KERNEL,
+    "solve": _LINE,
+    "solve-const": ["solve-const"] + _LINE[1:],
+    "solve-telegraph": ["solve-telegraph", "--alpha", "1", "--beta", "1"] + _LINE[3:],
+    "solve-hyperbolic": _DISK,
+    "verify": ["verify"],
+    "limit-study": ["limit-study", "--k", "1"],
+    "convergence": _CONVERGENCE,
+}
+_VALUE_OPTIONS = [
+    (command, action) for command, sub in _subcommands(build_parser()).items()
+    for action in sub._actions if action.option_strings and action.nargs != 0
+]
+
+
+@pytest.mark.parametrize("command, action", _VALUE_OPTIONS,
+                         ids=[f"{c} {a.option_strings[0]}" for c, a in _VALUE_OPTIONS])
+def test_dash_leading_value_reaches_its_option(command, action, monkeypatch, capsys):
+    # a fresh parser whose commands record their arguments instead of running
+    parser = build_parser.__wrapped__()
+    seen = []
+    for sub in _subcommands(parser).values():
+        sub.set_defaults(func=lambda args, started: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    option, value = action.option_strings[0], "-1e-3"  # not argparse's negative-number form
+    argv = list(_MINIMAL[command])
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert "expected one argument" not in err
+    if action.type is int:
+        assert rc == 1 and f"argument {option}: invalid int value: '{value}'" in err
+    else:
+        assert rc == 0 and err == ""
+        assert getattr(seen[0], action.dest) == (action.type or str)(value)
+
+
+def test_negative_fd_mesh_reaches_the_leapfrog_check(capsys):
+    rc = main(["verify", "--suite", "telegraph", "--dx", "-1e-3", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: dx must be in (0, domain length)")
+    assert captured.out == ""
+
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
+_README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"```sh\n(.*?)```", _README.read_text(encoding="utf-8"), re.S)
+    for line in block.splitlines() if line.startswith("liouwave ")
+]
+
+
+def test_readme_commands_found():
+    assert len(_README_COMMANDS) >= 17
+
+
+@pytest.mark.parametrize("argv", _README_COMMANDS, ids=" ".join)
+def test_readme_command_exits_zero(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # for --out
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_panels", ["0", "-1"])

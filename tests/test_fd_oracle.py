@@ -72,8 +72,10 @@ def test_leapfrog_attrs_are_the_step_metadata(bump, solve):
 
 
 def test_cfl_violation_rejected():
-    with pytest.raises(ConfigError):
-        FDConfig(x_min=-3.0, x_max=3.0, dx=1e-3, t_final=1.0, dt=2e-3)
+    # the step is cfl_safety * dx, so the stability bound dt <= dx is the range (0, 1]
+    for cfl_safety in (1.5, 0.0):
+        with pytest.raises(ConfigError, match="cfl_safety"):
+            FDConfig(x_min=-3.0, x_max=3.0, dx=1e-3, t_final=1.0, cfl_safety=cfl_safety)
 
 
 def test_insufficient_padding_rejected(bump):

@@ -69,6 +69,15 @@ def test_disk_mass_closed_form():
         assert disk_kernel_mass(t) == pytest.approx(exact, abs=1e-8)
 
 
+def test_disk_rule_beyond_the_float_range_raises():
+    # cosh t overflows above t ~ 710.48
+    f = bump_profile_2d(-1.0, 1.0, 1.0, 2.0)
+    with pytest.raises(DomainError, match="t=720.0"):
+        disk_kernel_mass(720.0)
+    with pytest.raises(DomainError, match="t=720.0"):
+        hyperbolic_solve(f, 720.0, HyperbolicPoint(0.0, 1.4))
+
+
 def test_uniform_velocity_gives_disk_mass_value():
     # f == 1 over the whole disk: u(t, w) = NORM * mass = 2 sinh(t/2)
     ones = HyperbolicProfile(

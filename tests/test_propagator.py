@@ -243,6 +243,13 @@ def test_zero_coupling_is_finite_where_the_exponential_overflows():
     assert solve_cauchy_regularized(0.0, FAR_BUMP, 1.0, 710.0) == pytest.approx(average, rel=1e-8)
 
 
+def test_regularized_time_beyond_the_float_range_raises():
+    # sinh(t/2) overflows above t ~ 1420.95, whatever the coupling
+    for k in (1.0, 0.0):
+        with pytest.raises(DomainError, match="t=1500.0"):
+            solve_cauchy_regularized(k, BumpProfile(-1.0, 1.0), 1500.0, 0.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_on_grid_rejects_non_finite_times(bump, bad):
     with pytest.raises(DomainError):
