@@ -64,7 +64,7 @@ PARTIALS_XS = np.linspace(-1.0, 1.0, 5)
 PARTIALS_KS = (0.5, 1.0, 2.0)
 CONE_MARGIN = 0.3
 
-FD_DX = 1e-3  # leapfrog mesh of the oracle and telegraph suites
+FD_DX = 4e-3  # coarse leapfrog mesh of the oracle and telegraph suites; each also runs dx/2
 
 ORACLE_X_TARGETS = np.linspace(-3.0, 3.0, 41)
 ORACLE_TIMES = (0.5, 1.0, 2.0)
@@ -145,13 +145,23 @@ def suite_prop2() -> list[CheckResult]:
 # suite: free-wave normalization, small-time limit, raw/regularized identity
 
 def _dalembert_reference(f: BumpProfile, t: float, x: float) -> float:
+    """Half the integral of f over the cone (x - t, x + t), by tanh-sinh quadrature.
+
+    The map tau -> tanh(pi/2 sinh tau) packs nodes double-exponentially
+    towards both ends, so 205 nodes at step 1/32 on tau in [-3.2, 3.2]
+    reach double precision for the bump, flat to all orders at its edges
+    (Takahasi & Mori, Publ. RIMS 9, 1974).  It shares nothing with the
+    solvers' Gauss-Legendre panels.
+    """
     a, b = f.support
     lo, hi = max(x - t, a), min(x + t, b)
     if lo >= hi:
         return 0.0
-    from scipy.integrate import quad as _adaptive_quad  # lazy: only this reference uses it
-    val, _ = _adaptive_quad(f, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return 0.5 * val
+    tau = np.arange(-102, 103) / 32.0
+    u = 0.5 * math.pi * np.sinh(tau)
+    weights = (0.5 * math.pi / 32.0) * np.cosh(tau) / np.cosh(u) ** 2
+    half = 0.5 * (hi - lo)
+    return 0.5 * half * float(np.dot(weights, f(lo + half + half * np.tanh(u))))
 
 
 def suite_dalembert() -> list[CheckResult]:
@@ -203,33 +213,67 @@ def suite_dalembert() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # suite: quadrature route vs leapfrog oracle, with mesh-refinement contraction
 
-def _closed_form_rows(field, targets, solver, coupling):
-    """Oracle rows and the solver's rows on the unit bump at the field's times, nearest targets."""
-    idx = np.unique([field.position_index(x) for x in targets])
-    closed = solve_on_grid(coupling, BumpProfile(-1.0, 1.0), field.times, field.positions[idx],
-                           solver=solver)
-    return field.values[:, idx], closed.values
+def _leapfrog_pair(solve, cfg: FDConfig, record_times):
+    """Leapfrog fields at cfg's mesh and at half its mesh and step, on the same times.
+
+    solve(cfg, record_times) runs one leapfrog.  The fine run halves the
+    coarse grid's spacing, so the grids nest even where dx does not divide
+    the domain: coarse node i is fine node 2i.  Its cfl_safety aims
+    step_count at 2N - 1/2 for N coarse steps, so the ceiling gives
+    exactly 2N whatever the rounding, and the fine step t_final / 2N is
+    exactly half the coarse one; the fine run then records the coarse
+    run's snapped times.  (4 fine - coarse) / 3 cancels the h^2 error term
+    of the pair (Richardson, Phil. Trans. R. Soc. A 210, 1911).
+    """
+    coarse = solve(cfg, record_times)
+    steps = 2 * coarse.attrs["steps"]
+    half = 0.5 * (cfg.x_max - cfg.x_min) / (coarse.positions.size - 1)
+    fine_cfg = FDConfig(cfg.x_min, cfg.x_max, half, cfg.t_final,
+                        cfl_safety=min(cfg.t_final / ((steps - 0.5) * half), 1.0))
+    if fine_cfg.step_count() != steps:  # only a coarse step at the CFL limit, rounded over it
+        raise ConfigError(f"the leapfrog at dx={half!r} would take {fine_cfg.step_count()} "
+                          f"steps, not {steps}; choose a cfl below 1")
+    return coarse, solve(fine_cfg, coarse.times)
 
 
-def _oracle_rel_errors(dx: float, cfl: float) -> float:
-    bump = BumpProfile(-1.0, 1.0)
-    cfg = FDConfig(x_min=-4.5, x_max=4.5, dx=dx, t_final=2.0, cfl_safety=cfl)
-    field = fd_wave_solve(lambda x: np.exp(2.0 * x), bump, cfg, record_times=ORACLE_TIMES)
-    fd_vals, quad_vals = _closed_form_rows(field, ORACLE_X_TARGETS, solve_cauchy, 1.0)
-    gap = np.max(np.abs(fd_vals - quad_vals), axis=1)
-    return float(np.max(gap / np.max(np.abs(quad_vals), axis=1)))
+def _pair_rows(pair, targets, solver, coupling):
+    """Coarse, fine and extrapolated leapfrog rows, and the solver's rows, at the nearest nodes.
+
+    The rows are at the pair's record times and at the coarse nodes
+    nearest the targets; the solver runs on the unit bump.
+    """
+    coarse, fine = pair
+    idx = np.unique([coarse.position_index(x) for x in targets])
+    closed = solve_on_grid(coupling, BumpProfile(-1.0, 1.0), coarse.times,
+                           coarse.positions[idx], solver=solver).values
+    coarse_vals, fine_vals = coarse.values[:, idx], fine.values[:, 2 * idx]
+    return coarse_vals, fine_vals, (4.0 * fine_vals - coarse_vals) / 3.0, closed
+
+
+def _rel_gap(vals, ref) -> float:
+    """Worst over the times of max |vals - ref| relative to max |ref| at that time."""
+    gap = np.max(np.abs(vals - ref), axis=1)
+    return float(np.max(gap / np.max(np.abs(ref), axis=1)))
 
 
 def suite_oracle(dx: float = FD_DX, cfl: float = DEFAULT_CFL) -> list[CheckResult]:
-    err_coarse = _oracle_rel_errors(dx, cfl)
-    err_fine = _oracle_rel_errors(0.5 * dx, cfl)
-    ratio = err_coarse / err_fine
+    bump = BumpProfile(-1.0, 1.0)
+    cfg = FDConfig(x_min=-4.5, x_max=4.5, dx=dx, t_final=2.0, cfl_safety=cfl)
+    pair = _leapfrog_pair(
+        lambda c, times: fd_wave_solve(lambda x: np.exp(2.0 * x), bump, c, record_times=times),
+        cfg, ORACLE_TIMES)
+    coarse, fine, extrapolated, quad_vals = _pair_rows(pair, ORACLE_X_TARGETS, solve_cauchy, 1.0)
+    err_coarse = _rel_gap(coarse, quad_vals)
+    ratio = err_coarse / _rel_gap(fine, quad_vals)
     return [
         _check("oracle", "quadrature matches leapfrog on the standard case",
                err_coarse, 5e-3,
                f"k=1, bump, t in {{0.5, 1, 2}}, 41 positions, dx={dx:g}, cfl {cfl:g}"),
         _check("oracle", "leapfrog error contracts 4x when dx halves",
                abs(ratio - 4.0), 1.0, f"measured contraction {ratio:.2f}"),
+        _check("oracle", "quadrature matches the extrapolated leapfrog",
+               _rel_gap(extrapolated, quad_vals), 1e-6,
+               f"(4 u(dx/2) - u(dx))/3, dx={dx:g}, half the step at dx/2"),
     ]
 
 
@@ -255,47 +299,43 @@ def suite_scaling() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # suite: transmission line vs damped-wave leapfrog
 
-def _telegraph_rel_error(field, params: TelegraphParams, coupling: float,
-                         first_kind: bool) -> float:
-    """Worst relative mismatch of an exponential-substitution closed form vs the oracle field.
-
-    first_kind selects the rejected J0 kernel (the literal flat-potential
-    reduction); otherwise the I0 kernel of telegraph_solve is used.
-    """
-    if first_kind:
-        fd_vals, closed = _closed_form_rows(field, TELEGRAPH_X_TARGETS,
-                                            constant_potential_solve, coupling)
-        closed = np.exp(-params.damping * field.times)[:, None] * closed
-    else:
-        fd_vals, closed = _closed_form_rows(field, TELEGRAPH_X_TARGETS, telegraph_solve, params)
-    gap = np.max(np.abs(fd_vals - closed), axis=1)
-    return float(np.max(gap / np.max(np.abs(fd_vals), axis=1)))
-
-
 def suite_telegraph(dx: float = FD_DX, cfl: float = DEFAULT_CFL) -> list[CheckResult]:
     bump = BumpProfile(-1.0, 1.0)
     cfg = FDConfig(x_min=-3.5, x_max=3.5, dx=dx, t_final=max(TELEGRAPH_TIMES), cfl_safety=cfl)
-    checks = []
-    fields = {}
+    checks, extrapolated_checks = [], []
+    pairs = {}
     for alpha, beta in TELEGRAPH_PAIRS:
         params = TelegraphParams(alpha, beta)
-        fields[alpha, beta] = fd_telegraph_solve(params, bump, cfg, record_times=TELEGRAPH_TIMES)
-        err = _telegraph_rel_error(fields[alpha, beta], params, params.mass, False)
+        pairs[alpha, beta] = _leapfrog_pair(
+            lambda c, times: fd_telegraph_solve(params, bump, c, record_times=times),
+            cfg, TELEGRAPH_TIMES)
+        coarse, _, extrapolated, closed = _pair_rows(pairs[alpha, beta], TELEGRAPH_X_TARGETS,
+                                                     telegraph_solve, params)
         checks.append(_check(
             "telegraph",
             f"line solution matches damped-wave oracle for alpha={alpha:g}, beta={beta:g}",
-            err, 5e-3, f"t in {{0.5, 1}}, 41 positions, dx={dx:g}",
+            _rel_gap(closed, coarse), 5e-3, f"t in {{0.5, 1}}, 41 positions, dx={dx:g}",
         ))
+        extrapolated_checks.append(_check(
+            "telegraph",
+            f"line solution matches extrapolated oracle for alpha={alpha:g}, beta={beta:g}",
+            _rel_gap(closed, extrapolated), 1e-6, f"(4 v(dx/2) - v(dx))/3, dx={dx:g}",
+        ))
+    # the literal flat-potential reduction: the first-kind kernel with coupling
+    # (alpha - beta)^2 / 4, damped by e^{-damping t}
     params = TelegraphParams(2.0, 0.0)
     printed = 0.25 * (params.alpha - params.beta) ** 2
-    err_printed = _telegraph_rel_error(fields[2.0, 0.0], params, printed, True)
+    coarse, _, _, closed = _pair_rows(pairs[2.0, 0.0], TELEGRAPH_X_TARGETS,
+                                      constant_potential_solve, printed)
+    times = pairs[2.0, 0.0][0].times
+    err_printed = _rel_gap(np.exp(-params.damping * times)[:, None] * closed, coarse)
     checks.append(_check(
         "telegraph",
         "literal flat-potential reduction misses the oracle for alpha=2, beta=0",
         max(0.0, 0.05 - err_printed), 0.0,
         f"first-kind kernel with coupling (alpha-beta)^2/4 is off by {err_printed:.3f} relative",
     ))
-    return checks
+    return checks + extrapolated_checks
 
 
 # ---------------------------------------------------------------------------
