@@ -142,10 +142,26 @@ def _emit(args, started, body, tee: bool = False) -> None:
         sys.stdout.write(text)
 
 
-def _write_record(args, columns, rows, provenance, started):
-    row_format = ",".join(["%.17g"] * len(columns))
-    _emit(args, started, [f"# provenance: {provenance}", ",".join(columns),
-                          *(row_format % row for row in rows)])
+def _write_record(args, columns, lines, provenance, started):
+    _emit(args, started, [f"# provenance: {provenance}", ",".join(columns), *lines])
+
+
+def _number_lines(rows):
+    """Record lines of rows of numbers, each number with 17 significant digits."""
+    return [",".join(["%.17g" % v for v in row]) for row in rows]
+
+
+def _table_lines(times, positions, values, *fixed):
+    """The _number_lines of rows (t, x, *fixed, value) over a (times x positions) table.
+
+    Each t, x and fixed number is formatted once a record, not once a line.
+    """
+    cells = ["%.17g," * (1 + len(fixed)) % (x, *fixed) for x in positions]
+    lines = []
+    for t, row in zip(times, values):
+        head = "%.17g," % t
+        lines.extend([head + cell + "%.17g" % v for cell, v in zip(cells, row)])
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +170,12 @@ def _write_record(args, columns, rows, provenance, started):
 def _cmd_eval_kernel(args, started):
     times = _parse_floats(args.t, "--t")
     xs = _parse_grid(args.x_grid)
-    rows = []
-    for t in times:
-        values = np.full(xs.shape, math.nan)
+    values = np.full((len(times), xs.size), math.nan)
+    for t, row in zip(times, values):
         defined = kernel_defined(t, xs, args.xp, args.k, args.coef_b)
-        values[defined] = wave_kernel(t, xs[defined], args.xp, args.k, args.coef_a, args.coef_b)
-        rows.extend((t, x, args.xp, v) for x, v in zip(xs.tolist(), values.tolist()))
-    _write_record(args, ("t", "X", "Xp", "value"), rows, "closed-form", started)
+        row[defined] = wave_kernel(t, xs[defined], args.xp, args.k, args.coef_a, args.coef_b)
+    lines = _table_lines(times, xs.tolist(), values.tolist(), args.xp)
+    _write_record(args, ("t", "X", "Xp", "value"), lines, "closed-form", started)
     return EXIT_OK
 
 
@@ -174,10 +189,8 @@ def _cmd_solve_line(args, started):
     profile = _parse_profile(args.profile)
     field = solve_on_grid(coupling, profile, _parse_floats(args.t, "--t"), _parse_grid(args.x_grid),
                           gauss_legendre(args.quad_order), args.panels, solver)
-    xs = field.positions.tolist()
-    rows = [(t, x, v) for t, row in zip(field.times.tolist(), field.values.tolist())
-            for x, v in zip(xs, row)]
-    _write_record(args, ("t", "X", "value"), rows, field.provenance, started)
+    lines = _table_lines(field.times.tolist(), field.positions.tolist(), field.values.tolist())
+    _write_record(args, ("t", "X", "value"), lines, field.provenance, started)
     return EXIT_OK
 
 
@@ -192,7 +205,7 @@ def _cmd_solve_hyperbolic(args, started):
             profile, t, w, rule, args.panels, args.ntheta
         )
         rows.append((t, w.x, w.y, value))
-    _write_record(args, ("t", "x", "y", "value"), rows, "quadrature", started)
+    _write_record(args, ("t", "x", "y", "value"), _number_lines(rows), "quadrature", started)
     return EXIT_OK
 
 
@@ -218,7 +231,7 @@ def _cmd_limit_study(args, started):
     study = ScalingStudy(lambdas=lambdas, k=args.k)
     gaps = scaling_limit_gap(study)
     rows = [(lam, float(gap)) for lam, gap in zip(lambdas, gaps)]
-    _write_record(args, ("lambda", "max_gap"), rows, "closed-form", started)
+    _write_record(args, ("lambda", "max_gap"), _number_lines(rows), "closed-form", started)
     return EXIT_OK
 
 
@@ -241,7 +254,7 @@ def _cmd_convergence(args, started):
         ))
         rows.append((float(panels), float(gap)))
         panels *= 2
-    _write_record(args, ("panels", "gap"), rows, "quadrature", started)
+    _write_record(args, ("panels", "gap"), _number_lines(rows), "quadrature", started)
     return EXIT_OK
 
 

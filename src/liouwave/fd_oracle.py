@@ -60,7 +60,10 @@ class FDConfig:
         return np.linspace(self.x_min, self.x_max, n)
 
     def step_count(self) -> int:
-        return max(int(math.ceil(self.t_final / (self.cfl_safety * self.dx) - 1e-12)), 1)
+        # the guard is relative: the rounding of the ratio grows with it, so a step
+        # given as cfl_safety = dt / dx does not round up to one step too many
+        ratio = self.t_final / (self.cfl_safety * self.dx)
+        return max(int(math.ceil(ratio - 1e-12 * ratio)), 1)
 
     def time_step(self) -> float:
         return self.t_final / self.step_count()

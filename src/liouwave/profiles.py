@@ -33,10 +33,14 @@ class InitialProfile:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         a, b = self.support
-        out = np.zeros_like(arr)
         inside = (arr > a) & (arr < b)
-        if np.any(inside):
-            out[inside] = self._eval_inside(arr[inside])
+        if inside.all():  # solver nodes: no gather or scatter needed
+            out = np.empty_like(arr)
+            out[...] = self._eval_inside(arr)
+        else:
+            out = np.zeros_like(arr)
+            if inside.any():
+                out[inside] = self._eval_inside(arr[inside])
         return float(out[0]) if scalar else out
 
 

@@ -24,6 +24,10 @@ from .quadrature import QuadratureRule, default_rule, panel_points, weighted_sum
 
 DEFAULT_PANELS = 8
 MIN_SOLVE_ORDER = 8
+# Nodes in one block of a row: each (row x node) float64 temporary stays under
+# ~100 KiB, below glibc's default mmap threshold (128 KiB), so the allocator
+# reuses its heap instead of faulting fresh pages in on every call.
+BLOCK_NODES = 12_800
 
 __all__ = [
     "DEFAULT_PANELS",
@@ -107,28 +111,39 @@ def _regularized_rows(t, quad, lo, hi, panels):
     return live % lo.size, 2.0 * np.arcsinh(y), wts
 
 
-def _cone_row(t, x, coupling, argument, kernel, f, quad, panels, rule_rows=_support_rows):
+def _cone_row(t, x, coupling, argument, kernel, f, quad, panels, rule_rows=_support_rows,
+              branches=1):
     """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' for each x.
 
     The integral runs over the cone intersected with the support of f, on
     the rows that rule_rows(t, quad, lo, hi, panels) gives for the offset
     intervals of _cone_offsets: each row's position index, offset nodes
-    s = x' - x and weights.  All (row x node) arrays are built at once, and
-    each row is added into its position; a position no row reaches is
-    exactly 0.0.  x is a number (a float is returned) or a 1-D array;
-    coupling is a number or an array matching x.
+    s = x' - x and weights, at most branches rows a position.  The
+    positions are taken in order, in equal blocks of at most ~BLOCK_NODES
+    nodes; each block's (row x node) arrays are built at once, and each row
+    is added into its position.  A row does not depend on the block it
+    lies in, and a position no row reaches is exactly 0.0.  x is a number
+    (a float is returned) or a 1-D array; coupling is a number or an array
+    matching x.
     """
     quad, x = _positions(t, x, coupling, quad, panels)
     xs = x.reshape(-1)
     lo, hi = _cone_offsets(t, xs, f.support)
+    if np.ndim(coupling):
+        coupling = np.asarray(coupling, dtype=float)
     out = np.zeros(xs.shape)
-    if (lo < hi).any():
-        rows, pts, wts = rule_rows(t, quad, lo, hi, panels)
-        if np.ndim(coupling):
-            coupling = np.asarray(coupling, dtype=float)[rows, None]
+    n = xs.size
+    blocks = max(1, -(-n * branches * panels * quad.order // BLOCK_NODES))
+    for b in range(blocks):
+        part = slice(b * n // blocks, (b + 1) * n // blocks)
+        if not (lo[part] < hi[part]).any():
+            continue
+        rows, pts, wts = rule_rows(t, quad, lo[part], hi[part], panels)
+        rows += part.start
+        k = coupling[rows, None] if np.ndim(coupling) else coupling
         xl = xs[rows, None]
         pts += xl  # offsets s to nodes x' = x + s
-        vals = kernel(argument(t, xl, pts, coupling)) * f(pts)
+        vals = kernel(argument(t, xl, pts, k)) * f(pts)
         np.add.at(out, rows, 0.5 * weighted_sum(wts, vals))
     return _finished(t, x, out.reshape(x.shape))
 
@@ -177,7 +192,7 @@ def solve_cauchy_regularized(
     f(x) * t as t -> 0, which makes the small-time limit manifest.  x and
     k are as for solve_cauchy (k may be an array matching x).
     """
-    return _cone_row(t, x, k, sinh_argument, _j0, f, quad, panels, _regularized_rows)
+    return _cone_row(t, x, k, sinh_argument, _j0, f, quad, panels, _regularized_rows, 2)
 
 
 def small_time_slope(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liouwave import (
+    DEFAULT_PANELS,
     BumpProfile,
     SampledProfile,
     TelegraphParams,
@@ -13,6 +14,7 @@ from liouwave import (
     solve_cauchy_regularized,
     telegraph_solve,
 )
+from liouwave import propagator
 from oracles import (
     cone_row_per_point,
     flat_kernel,
@@ -24,6 +26,8 @@ from oracles import (
 RULE = gauss_legendre(16)
 POSITIONS = np.linspace(-4.0, 4.5, 69)
 TIMES = (0.35, 1.0, 2.2)
+# A row this long runs in several position blocks, the first of them wholly off the cone
+MANY_POSITIONS = np.linspace(-12.0, 4.5, 400)
 
 
 def _sampled():
@@ -60,11 +64,20 @@ SOLVERS = {
 def test_batched_row_matches_per_point_loop(solver, profile):
     batched, loop = SOLVERS[solver]
     f = PROFILES[profile]
-    for t in TIMES:
-        row = batched(f, t, POSITIONS)
-        ref = loop(f, t, POSITIONS)
-        assert row.shape == POSITIONS.shape
-        assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for xs in (POSITIONS, MANY_POSITIONS):
+        for t in TIMES:
+            row = batched(f, t, xs)
+            ref = loop(f, t, xs)
+            assert row.shape == xs.shape
+            assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_many_positions_span_blocks_the_first_off_the_cone():
+    # blocks of the raw row; the regularized row, two rows a position, has at most twice as many
+    blocks = -(-MANY_POSITIONS.size * DEFAULT_PANELS * RULE.order // propagator.BLOCK_NODES)
+    assert blocks >= 3
+    first_block = MANY_POSITIONS[: MANY_POSITIONS.size // (2 * blocks)]
+    assert np.all(first_block + max(TIMES) < min(f.support[0] for f in PROFILES.values()))
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -93,9 +106,9 @@ def test_scalar_position_returns_python_float(solver):
 @pytest.mark.parametrize("solve", [solve_cauchy, solve_cauchy_regularized], ids=["raw", "regularized"])
 def test_coupling_array_pairs_with_positions(solve):
     f = PROFILES["bump"]
-    xs = np.linspace(-3.0, 3.5, 27)
-    ks = np.linspace(0.0, 4.0, xs.size)
-    row = solve(ks, f, 1.1, xs, RULE)
-    single = [solve(k, f, 1.1, x, RULE) for k, x in zip(ks, xs)]
-    assert np.array_equal(row, single)
-    assert np.any(row == 0.0) and np.any(row != 0.0)
+    for xs in (np.linspace(-3.0, 3.5, 27), MANY_POSITIONS):
+        ks = np.linspace(0.0, 4.0, xs.size)
+        row = solve(ks, f, 1.1, xs, RULE)
+        single = [solve(k, f, 1.1, x, RULE) for k, x in zip(ks, xs)]
+        assert np.array_equal(row, single)
+        assert np.any(row == 0.0) and np.any(row != 0.0)

@@ -19,7 +19,7 @@ from liouwave import (
     write_profile_csv,
 )
 from liouwave import cli
-from liouwave.cli import _write_record, build_parser, main
+from liouwave.cli import _number_lines, _table_lines, _write_record, build_parser, main
 from liouwave.verification import CheckResult, SUITES
 
 
@@ -517,7 +517,13 @@ def test_rows_keep_17_significant_digits(capsys):
     values = (0.0, -0.0, 5e-324, 1 / 3, 1e300, math.nan, math.inf, -math.inf)
     rows = [values, values[::-1], tuple(np.float64(v) for v in values)]
     args = argparse.Namespace(no_timestamp=True, out=None)
-    _write_record(args, tuple(f"c{i}" for i in range(len(values))), rows, "closed-form", 0.0)
+    _write_record(args, tuple(f"c{i}" for i in range(len(values))), _number_lines(rows),
+                  "closed-form", 0.0)
     lines = capsys.readouterr().out.splitlines()[-len(rows):]
     for line, row in zip(lines, rows):
         assert line.split(",") == [format(v, ".17g") for v in row]
+    # the (times x positions) records format each t and x once; every cell reads the same
+    for fixed in ((), (1 / 3,), (-0.0, math.nan)):
+        table = _table_lines(values, values[::-1], rows[:1] * len(values), *fixed)
+        assert table == _number_lines([(t, x, *fixed, v) for t in values
+                                       for x, v in zip(values[::-1], rows[0])])

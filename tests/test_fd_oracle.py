@@ -144,6 +144,18 @@ def test_record_times_snap_to_steps(bump):
     assert abs(field.times[1] - 0.7) <= dt
 
 
+@pytest.mark.parametrize("cfl", [0.1, 0.37, 0.5, 0.9, 0.99, 1.0])
+def test_a_step_given_as_dt_over_dx_keeps_its_step_count(cfl):
+    # N steps at dx; the same time step at dx / 2, given as cfl_safety = dt / (dx / 2),
+    # is 2N steps.  An absolute guard on the ceiling let the ratio's rounding, which
+    # grows with the step count, add one: dx = 1.2226e-4, cfl 1 gave 32 719, not 32 718.
+    for dx in [1.2226e-4, *np.geomspace(1e-4, 5e-2, 200)]:
+        cfg = FDConfig(-4.5, 4.5, dx, 2.0, cfl)
+        n = cfg.step_count()
+        half = FDConfig(-4.5, 4.5, 0.5 * dx, 2.0, (2.0 / n) / dx)
+        assert half.step_count() == 2 * n, (dx, cfl)
+
+
 class _NonzeroEverywhere:
     """exp(-x^2): nonzero on every node, ends included, despite its nominal support."""
 

@@ -113,3 +113,38 @@ def test_read_profile_rejects_bad_header(tmp_path):
     path.write_text("a,b\n0,0\n1,1\n")
     with pytest.raises(ConfigError):
         read_profile_csv(path)
+
+
+def _profiles():
+    nodes = np.linspace(-1.2, 1.1, 47)
+    return [
+        BumpProfile(-1.0, 1.0),
+        FunctionProfile(lambda x: np.cos(3.0 * x) + x * x, -1.0, 1.0),
+        SampledProfile(nodes, np.sin(2.0 * nodes) * (1.1 - nodes) * (nodes + 1.2)),
+    ]
+
+
+@pytest.mark.parametrize("f", _profiles(), ids=["bump", "function", "sampled"])
+def test_all_inside_call_equals_the_masked_path_bitwise(f):
+    a, b = f.support
+    inside = np.linspace(a, b, 1001)[1:-1]
+    inside = np.concatenate([inside, np.nextafter([a, b], [b, a])])  # an ulp inside each edge
+    masked = f(np.append(inside, b))  # one point on the edge: the gather-scatter path
+    assert masked[-1] == 0.0
+    assert np.array_equal(f(inside), masked[:-1])
+    grid = inside[:1000].reshape(40, 25)
+    assert np.array_equal(f(grid), masked[:1000].reshape(40, 25))
+    assert f(inside[3]) == masked[3] and type(f(inside[3])) is float
+
+
+@pytest.mark.parametrize("func", [lambda x: x, lambda x: 2.5], ids=["argument", "scalar"])
+def test_all_inside_call_returns_a_fresh_array_of_the_input_shape(func):
+    f = FunctionProfile(func, -1.0, 1.0)
+    for xs in (np.linspace(-0.5, 0.5, 7), np.full((2, 3), 0.25)):
+        before = xs.copy()
+        out = f(xs)
+        assert out.shape == xs.shape and out is not xs
+        assert not np.shares_memory(out, xs)
+        out[...] = 7.0
+        assert np.array_equal(xs, before)
+        assert np.array_equal(f(xs), np.broadcast_to(func(before), xs.shape))
