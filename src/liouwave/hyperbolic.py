@@ -9,7 +9,9 @@ exactly, so fixed-order quadrature converges fast.
 A frequency-domain route rebuilds the same solution from one-dimensional
 exponential-potential solves.  It checks a different formula, but not
 independently: it takes its nodes from panel_points, as the disk integral
-does, and its mode values from solve_cauchy.
+does, and its mode values from one solve_cauchy row over the frequencies.
+Every mode sits at the same position, so the modes share one node row and
+its profile values and differ only in their coupling.
 """
 
 from __future__ import annotations
@@ -259,8 +261,9 @@ def hyperbolic_fourier_check(
     phases = np.exp(-1j * np.outer(freqs, gpts))
     ghat = weighted_sum(gwts * gvals, phases)
 
-    # one line solve per frequency, all at the observation's X in one row
-    mode_values = solve_cauchy(freqs, line_data, t, np.full(freqs.shape, big_x), quad, panels)
+    # one line solve per frequency: all sit at the observation's X, so the
+    # modes share one node row and its profile values, a coupling a mode
+    mode_values = solve_cauchy(freqs, line_data, t, big_x, quad, panels)
     integrand = np.real(np.exp(1j * freqs * w.x) * ghat) * mode_values
     dk = freq_max / n_freq
     trapezoid = dk * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1]))

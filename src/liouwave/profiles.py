@@ -121,40 +121,50 @@ def write_profile_csv(path, profile_or_nodes, values=None) -> None:
             fh.write(f"{x:.17g},{f:.17g}\n")
 
 
+def _sample_columns(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Node and value columns of the data rows, (line number, text) pairs.
+
+    numpy parses the rows at once.  Where it refuses them, they are read
+    one at a time as float() reads them, which names the first bad row.
+    """
+    if rows:
+        try:
+            table = np.loadtxt([line for _, line in rows], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == 2:
+            nodes, values = table.T.copy()
+            return nodes, values
+    nodes, values = [], []
+    for lineno, line in rows:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"profile CSV rows need two columns, got {line!r}")
+        try:
+            x, f = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigError(f"profile CSV line {lineno} is not two numbers: {line!r}") from None
+        nodes.append(x)
+        values.append(f)
+    return np.asarray(nodes), np.asarray(values)
+
+
 def read_profile_csv(path) -> SampledProfile:
     """Read a two-column sample CSV written by write_profile_csv.
 
-    The support is inferred from the first and last nonzero samples,
-    widened by one sample on each side where available so the support
-    endpoints carry zero values.
+    Blank lines and lines starting with # are skipped; the first other
+    line is the header.  The support is inferred from the first and last
+    nonzero samples, widened by one sample on each side where available
+    so the support endpoints carry zero values.
     """
-    nodes, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header.replace(" ", "") != PROFILE_CSV_HEADER:
-                    raise ConfigError(
-                        f"profile CSV must start with header '{PROFILE_CSV_HEADER}', got {header!r}"
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ConfigError(f"profile CSV rows need two columns, got {line!r}")
-            try:
-                x, f = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ConfigError(
-                    f"profile CSV line {lineno} is not two numbers: {line!r}"
-                ) from None
-            nodes.append(x)
-            values.append(f)
-    nodes = np.asarray(nodes)
-    values = np.asarray(values)
+        lines = [line.strip() for line in fh.read().split("\n")]
+    rows = [(lineno, line) for lineno, line in enumerate(lines, 1) if line and line[0] != "#"]
+    if rows and rows[0][1].replace(" ", "") != PROFILE_CSV_HEADER:
+        raise ConfigError(
+            f"profile CSV must start with header '{PROFILE_CSV_HEADER}', got {rows[0][1]!r}"
+        )
+    nodes, values = _sample_columns(rows[1:])
     nonzero = np.nonzero(values)[0]
     if len(nonzero) == 0:
         raise ConfigError("profile CSV contains no nonzero samples")

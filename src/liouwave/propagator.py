@@ -5,8 +5,9 @@ integrating the first-kind kernel against f over the domain of dependence.
 Two exact forms are provided: the raw light-cone integral and a
 regularized form, substituted so that its integrand stays O(1) as t -> 0.
 Both integrate only over the cone intersected with the support of f.  Each
-solves one time for a number or a 1-D array of positions; both forms and
-the reductions on the line share one batched cone-integral row core.
+solves one time for a number or a 1-D array of positions, or for a 1-D
+array of couplings at one position; both forms and the reductions on the
+line share one batched cone-integral row core.
 """
 
 from __future__ import annotations
@@ -56,21 +57,33 @@ def _check_time(t: float) -> None:
         raise DomainError(f"solve requires t > 0, got {t!r}")
 
 
-def _positions(t: float, x, k, quad: QuadratureRule | None, panels: int):
-    """Checked rule and positions (a 0-d or 1-D float array) for a line solve."""
+def _line_inputs(t: float, x, k, quad: QuadratureRule | None, panels: int):
+    """Checked rule, positions (a 0-d or 1-D float array) and couplings of a line solve.
+
+    k is a number (kept as it is), an array matching x, or, for a number
+    x, a 1-D array of couplings at that one position.
+    """
     _check_time(t)
     quad = _check_rule(quad, panels)
     require_finite("solve", x=x, k=k)
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
         raise ConfigError(f"solve takes a number or a 1-D array of positions, got shape {x.shape}")
-    return quad, x
+    if np.ndim(k):
+        k = np.asarray(k, dtype=float)
+        if k.shape != x.shape and not (x.ndim == 0 and k.ndim == 1):
+            raise ConfigError(
+                f"solve takes a coupling matching the positions' shape {x.shape}, or a 1-D "
+                f"array of couplings at one position, got shape {k.shape}"
+            )
+    return quad, x, k
 
 
 def _finished(t: float, x: np.ndarray, u):
-    """Row u at positions x (same shape) as a float or an array; non-finite values raise."""
+    """Row u at positions x (broadcast to u) as a float or an array; non-finite values raise."""
     bad = ~np.isfinite(u)
     if np.any(bad):
+        x = np.broadcast_to(x, u.shape)
         raise DomainError(f"solve overflows at (t={t}, x={float(x.flat[np.argmax(bad)])})")
     return float(u) if u.ndim == 0 else u
 
@@ -113,39 +126,48 @@ def _regularized_rows(t, quad, lo, hi, panels):
 
 def _cone_row(t, x, coupling, argument, kernel, f, quad, panels, rule_rows=_support_rows,
               branches=1):
-    """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' for each x.
+    """(1/2) * integral of kernel(argument(t, x, x', coupling)) f(x') dx' over the cone.
 
     The integral runs over the cone intersected with the support of f, on
     the rows that rule_rows(t, quad, lo, hi, panels) gives for the offset
     intervals of _cone_offsets: each row's position index, offset nodes
-    s = x' - x and weights, at most branches rows a position.  The
-    positions are taken in order, in equal blocks of at most ~BLOCK_NODES
-    nodes; each block's (row x node) arrays are built at once, and each row
-    is added into its position.  A row does not depend on the block it
-    lies in, and a position no row reaches is exactly 0.0.  x is a number
-    (a float is returned) or a 1-D array; coupling is a number or an array
-    matching x.
+    s = x' - x and weights, at most branches rows a position.  x is a
+    number (a float is returned) or a 1-D array, and coupling is a number
+    or an array matching x: one value a position.  Or x is a number and
+    coupling a 1-D array: one value a coupling, all of them on that
+    position's rows.  The values are taken in order, in equal blocks of at
+    most ~BLOCK_NODES nodes (values x rows x nodes).  A block builds its
+    positions' rows, profile values and the coupling-free factors of the
+    argument once, and broadcasts its couplings against them; each row is
+    added into its value.  A value does not depend on the block it lies
+    in or on the other values, and a value no row reaches is exactly 0.0.
     """
-    quad, x = _positions(t, x, coupling, quad, panels)
+    quad, x, k = _line_inputs(t, x, coupling, quad, panels)
     xs = x.reshape(-1)
     lo, hi = _cone_offsets(t, xs, f.support)
-    if np.ndim(coupling):
-        coupling = np.asarray(coupling, dtype=float)
-    out = np.zeros(xs.shape)
-    n = xs.size
+    k_ndim = np.ndim(k)
+    coupling_row = x.ndim < k_ndim  # one position, a row of couplings
+    shape = k.shape if coupling_row else x.shape
+    n = math.prod(shape)
+    out = np.zeros(n)
     blocks = max(1, -(-n * branches * panels * quad.order // BLOCK_NODES))
     for b in range(blocks):
         part = slice(b * n // blocks, (b + 1) * n // blocks)
-        if not (lo[part] < hi[part]).any():
+        on = slice(0, 1) if coupling_row else part  # the block's positions
+        if not (lo[on] < hi[on]).any():
             continue
-        rows, pts, wts = rule_rows(t, quad, lo[part], hi[part], panels)
-        rows += part.start
-        k = coupling[rows, None] if np.ndim(coupling) else coupling
+        rows, pts, wts = rule_rows(t, quad, lo[on], hi[on], panels)
+        rows += on.start
         xl = xs[rows, None]
         pts += xl  # offsets s to nodes x' = x + s
-        vals = kernel(argument(t, xl, pts, k)) * f(pts)
+        if coupling_row:  # the block's couplings against the one position's rows
+            # rows then index the values: one (coupling x row) grid of them
+            kb, rows = k[part, None, None], np.arange(part.start, part.stop)[:, None] + rows
+        else:
+            kb = k[rows, None] if k_ndim else k
+        vals = kernel(argument(t, xl, pts, kb)) * f(pts)
         np.add.at(out, rows, 0.5 * weighted_sum(wts, vals))
-    return _finished(t, x, out.reshape(x.shape))
+    return _finished(t, x, out.reshape(shape))
 
 
 def solve_cauchy(
@@ -165,7 +187,9 @@ def solve_cauchy(
     a unit factor would give twice that.
 
     x is a number, giving a float, or a 1-D array of positions, giving
-    the array of values; k may also be an array matching x.
+    the array of values.  k is a number, an array matching x, or, for a
+    number x, a 1-D array, giving one value a coupling: those share one
+    node row, as the modes of the half-plane Fourier route do.
     """
     return _cone_row(t, x, k, sinh_argument, _j0, f, quad, panels)
 
@@ -190,7 +214,8 @@ def solve_cauchy_regularized(
     x' lie in the support of f, on the row core of solve_cauchy; a branch
     that misses the support adds exactly 0.0.  The integrand tends to
     f(x) * t as t -> 0, which makes the small-time limit manifest.  x and
-    k are as for solve_cauchy (k may be an array matching x).
+    k are as for solve_cauchy (k an array matching x, or x a number with
+    a 1-D k).
     """
     return _cone_row(t, x, k, sinh_argument, _j0, f, quad, panels, _regularized_rows, 2)
 

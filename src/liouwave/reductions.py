@@ -65,7 +65,7 @@ def _flat_argument(t, x, xp, coupling):
 
 
 def constant_potential_solve(
-    k: float,
+    k,
     f: InitialProfile,
     t: float,
     x,
@@ -76,8 +76,8 @@ def constant_potential_solve(
 
     (1/2) * integral of J0(|k| sqrt(t^2 - (x - x')^2)) f(x') over the
     cone, same normalization as the exponential-potential propagator;
-    k = 0 degenerates to the d'Alembert average.  x is a number or a 1-D
-    array, as for solve_cauchy.
+    k = 0 degenerates to the d'Alembert average.  x and k are as for
+    solve_cauchy (k an array matching x, or x a number with a 1-D k).
     """
     return _cone_row(t, x, k, _flat_argument, _j0, f, quad, panels)
 

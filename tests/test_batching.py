@@ -6,6 +6,8 @@ import pytest
 from liouwave import (
     DEFAULT_PANELS,
     BumpProfile,
+    ConfigError,
+    DomainError,
     SampledProfile,
     TelegraphParams,
     constant_potential_solve,
@@ -112,3 +114,74 @@ def test_coupling_array_pairs_with_positions(solve):
         single = [solve(k, f, 1.1, x, RULE) for k, x in zip(ks, xs)]
         assert np.array_equal(row, single)
         assert np.any(row == 0.0) and np.any(row != 0.0)
+
+
+# name -> solver taking a coupling first; each takes a 1-D coupling row at one position
+COUPLING_SOLVERS = {
+    "raw": solve_cauchy,
+    "regularized": solve_cauchy_regularized,
+    "constant": constant_potential_solve,
+}
+# 400 couplings with zeros among them: 4 blocks of the raw row, 8 of the regularized one
+MANY_COUPLINGS = np.concatenate([[0.0], np.linspace(0.0, 24.0, 398), [0.0]])
+
+
+def test_many_couplings_span_blocks():
+    per_coupling = DEFAULT_PANELS * RULE.order
+    assert -(-MANY_COUPLINGS.size * per_coupling // propagator.BLOCK_NODES) == 4
+    assert -(-MANY_COUPLINGS.size * 2 * per_coupling // propagator.BLOCK_NODES) == 8
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+@pytest.mark.parametrize("solver", sorted(COUPLING_SOLVERS))
+def test_coupling_row_at_one_position_equals_single_coupling_solves(solver, profile):
+    solve = COUPLING_SOLVERS[solver]
+    f = PROFILES[profile]
+    for ks in (np.array([1.3]), np.linspace(0.0, 4.0, 27), MANY_COUPLINGS):
+        for t, x in ((0.35, 0.1), (1.0, -1.4), (2.2, 2.9)):
+            row = solve(ks, f, t, x, RULE)
+            single = [solve(k, f, t, x, RULE) for k in ks]
+            assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == ks.shape
+            assert np.array_equal(row, single)
+            assert np.all(row != 0.0)
+
+
+@pytest.mark.parametrize("solver", sorted(COUPLING_SOLVERS))
+def test_coupling_row_where_the_cone_misses_the_support_is_exactly_zero(solver):
+    f = PROFILES["bump"]
+    for x in (-3.0, 4.0):
+        row = COUPLING_SOLVERS[solver](MANY_COUPLINGS, f, 1.0, x, RULE)
+        assert row.shape == MANY_COUPLINGS.shape
+        assert np.all(row == 0.0) and not np.any(np.signbit(row))
+
+
+@pytest.mark.parametrize("solver", sorted(COUPLING_SOLVERS))
+def test_coupling_row_rejects_a_non_finite_entry(solver):
+    for bad in (np.nan, np.inf):
+        ks = np.array([0.5, 1.0, bad, 2.0])
+        with pytest.raises(DomainError):
+            COUPLING_SOLVERS[solver](ks, PROFILES["bump"], 1.0, 0.2, RULE)
+
+
+@pytest.mark.parametrize("solver", sorted(COUPLING_SOLVERS))
+@pytest.mark.parametrize("k, x", [
+    (np.array([0.5, 1.0, 2.0]), np.array([0.1, 0.2])),  # more couplings than positions
+    (np.array([0.5]), np.array([0.1, 0.2])),  # fewer couplings than positions
+    (np.array([0.5, 1.0]), np.array([0.1])),
+    (np.ones((2, 2)), 0.3),  # 2-D couplings at one position
+    (np.ones((1, 2)), np.array([0.1, 0.2])),
+], ids=["3-for-2", "1-for-2", "2-for-1", "2d-at-number", "2d-at-row"])
+def test_coupling_shape_matching_neither_x_nor_a_number_x_raises(solver, k, x):
+    with pytest.raises(ConfigError, match="coupling"):
+        COUPLING_SOLVERS[solver](k, PROFILES["bump"], 1.0, x, RULE)
+
+
+def test_empty_coupling_row_gives_an_empty_array():
+    row = solve_cauchy(np.array([]), PROFILES["bump"], 1.0, 0.2, RULE)
+    assert row.shape == (0,) and row.dtype == np.float64
+
+
+def test_overflow_in_a_coupling_row_names_the_position():
+    far = BumpProfile(709.0, 711.0)  # e^{(x+x')/2} overflows near x + x' = 1420
+    with pytest.raises(DomainError, match="x=710.0"):
+        solve_cauchy(np.array([0.0, 1.0]), far, 1.0, 710.0)

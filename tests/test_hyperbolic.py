@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from liouwave import (
+    DEFAULT_PANELS,
     DISK_KERNEL_NORM,
     DomainError,
+    FunctionProfile,
     HyperbolicPoint,
     HyperbolicProfile,
     SeparabilityError,
@@ -14,8 +16,10 @@ from liouwave import (
     geodesic_distance,
     hyperbolic_fourier_check,
     hyperbolic_solve,
+    solve_cauchy,
 )
 from liouwave.hyperbolic import _polar_points
+from liouwave.quadrature import default_rule, panel_points, weighted_sum
 from oracles import translated
 
 
@@ -128,6 +132,35 @@ def test_fourier_route_agrees_with_disk_propagator():
     direct = hyperbolic_solve(f, 1.0, w)
     via_freq = hyperbolic_fourier_check(f, 1.0, w)
     assert abs(via_freq - direct) / abs(direct) <= 1e-2
+
+
+def _fourier_route_mode_by_mode(f, t, w, freq_max=24.0, n_freq=96):
+    """hyperbolic_fourier_check's sum with one single-coupling solve_cauchy call a mode."""
+    quad, panels = default_rule(), DEFAULT_PANELS
+    g, h = f.x_part, f.y_part
+    line_data = FunctionProfile(lambda big_x: np.exp(-0.5 * big_x) * h(np.exp(big_x)),
+                                math.log(h.support[0]), math.log(h.support[1]))
+    gpts, gwts = panel_points(quad, *g.support, panels)
+    freqs = np.linspace(0.0, freq_max, n_freq + 1)
+    ghat = weighted_sum(gwts * g(gpts), np.exp(-1j * np.outer(freqs, gpts)))
+    modes = np.array([solve_cauchy(k, line_data, t, math.log(w.y), quad, panels) for k in freqs])
+    integrand = np.real(np.exp(1j * freqs * w.x) * ghat) * modes
+    dk = freq_max / n_freq
+    return math.sqrt(w.y) / math.pi * (dk * (np.sum(integrand) - 0.5 * (integrand[0] + integrand[-1])))
+
+
+@pytest.mark.parametrize("t, w", [
+    (0.05, HyperbolicPoint(0.1, 1.4)),
+    (1.0, HyperbolicPoint(0.0, 1.4)),
+    (4.0, HyperbolicPoint(-0.7, 1.1)),
+    (1.0, HyperbolicPoint(3.5, 0.5)),  # outside the box, the cone in X reaching the support
+    (1.0, HyperbolicPoint(0.0, math.exp(-3.0))),  # the cone in X misses the support
+])
+def test_fourier_route_equals_single_coupling_solves_bitwise(t, w):
+    f = bump_profile_2d(-1.0, 1.5, 0.8, 2.6)
+    u = hyperbolic_fourier_check(f, t, w)
+    assert u == _fourier_route_mode_by_mode(f, t, w)
+    assert (u == 0.0) == (w.y < 0.1)
 
 
 def test_fourier_route_far_support_is_zero_both_ways():

@@ -111,8 +111,76 @@ def test_read_profile_infers_support_from_nonzero_samples(tmp_path):
 def test_read_profile_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,0\n1,1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^profile CSV must start with header 'X,f', got 'a,b'$"):
         read_profile_csv(path)
+
+
+# a valid file with comment and blank lines before the header and among the rows
+COMMENTED_CSV = """
+# sampled bump
+   X , f
+
+0,0
+1,0.5
+  # a comment line
+2,0.25
+3,0
+
+4,0
+"""
+
+
+def test_read_profile_skips_comment_and_blank_lines(tmp_path):
+    path = tmp_path / "commented.csv"
+    path.write_text(COMMENTED_CSV)
+    prof = read_profile_csv(path)
+    assert np.array_equal(prof.nodes, [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(prof.values, [0.0, 0.5, 0.25, 0.0, 0.0])
+    assert prof.support == (0.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0\n1,1,1\n2,0\n", r"^profile CSV rows need two columns, got '1,1,1'$"),
+        ("0,0\n1\n2,0\n", r"^profile CSV rows need two columns, got '1'$"),
+        ("0,0\n1,1\n2,0,\n", r"^profile CSV rows need two columns, got '2,0,'$"),
+        ("0,0,0\n1,1,1\n2,0,0\n", r"^profile CSV rows need two columns, got '0,0,0'$"),
+        ("0\n1\n2\n", r"^profile CSV rows need two columns, got '0'$"),
+        ("0,0\n\n# note\n1,x\n2,0\n", r"^profile CSV line 5 is not two numbers: '1,x'$"),
+        ("0,0\n1,1 # note\n2,0\n", r"^profile CSV line 3 is not two numbers: '1,1 # note'$"),
+        ("0,0\n1,\n2,0\n", r"^profile CSV line 3 is not two numbers: '1,'$"),
+        ("0,0\n1,0\n2,0\n", r"^profile CSV contains no nonzero samples$"),
+        ("# only comments\n", r"^profile CSV contains no nonzero samples$"),
+    ],
+    ids=["three-columns", "one-column", "trailing-comma", "three-columns-throughout",
+         "one-column-throughout", "not-a-number", "trailing-comment", "empty-field", "all-zero",
+         "no-rows"],
+)
+def test_read_profile_rejects_malformed_rows(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("X,f\n" + rows)
+    with pytest.raises(ConfigError, match=message):
+        read_profile_csv(path)
+
+
+@pytest.mark.parametrize("odd", ["2.5", "1_5"], ids=["numpy-syntax", "float-only-syntax"])
+def test_read_profile_parses_each_number_as_float_does(tmp_path, odd):
+    # a number numpy's parser refuses but float() takes ("1_5") sends the file down the
+    # one-row-at-a-time path, which must read the same bits
+    rng = np.random.default_rng(3)
+    nodes = np.sort(rng.uniform(-3.0, 3.0, 300))
+    values = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
+    values[::7] = 0.0
+    texts = [f"{v:.17g}" for v in values]
+    texts[1:4] = ["5e-324", "-0.0", odd]  # a subnormal, a signed zero, and a number float() takes
+    rows = [f" {float(x)!r} , {v} " for x, v in zip(nodes, texts)]
+    path = tmp_path / "numbers.csv"
+    path.write_text("X,f\n" + "\n".join(rows) + "\n")
+    prof = read_profile_csv(path)
+    expect = np.array([float(v) for v in texts])
+    assert np.array_equal(prof.nodes.view(np.int64), nodes.view(np.int64))
+    assert np.array_equal(prof.values.view(np.int64), expect.view(np.int64))
 
 
 def _profiles():
