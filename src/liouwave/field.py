@@ -44,4 +44,5 @@ class SolutionField:
 
     def position_index(self, x: float) -> int:
         """Index of the grid position nearest to x."""
+        require_finite("position_index", x=x)
         return int(np.argmin(np.abs(self.positions - x)))

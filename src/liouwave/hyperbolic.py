@@ -79,12 +79,19 @@ def _polar_points(w: HyperbolicPoint, r, theta):
     the Cayley map (0 -> i) and the similarity taking i to w; both are
     isometries, so the geodesic distance to w is exactly r.  theta = 0
     points straight up (y = y_w e^r).
+
+    With rho = tanh(r/2), the denominator |1 - rho e^{i theta}|^2 is formed
+    as (1 - rho)^2 + 4 rho sin^2(theta/2), and 1 - rho as
+    2 e^{-r} / (1 + e^{-r}), so nothing cancels as rho nears 1.
     """
-    rho = np.tanh(0.5 * np.asarray(r))
-    st, ct = np.sin(theta), np.cos(theta)
-    denom = 1.0 - 2.0 * rho * ct + rho * rho
-    px = -2.0 * rho * st / denom
-    py = (1.0 - rho * rho) / denom
+    r = np.asarray(r)
+    rho = np.tanh(0.5 * r)
+    decay = np.exp(-r)
+    gap = 2.0 * decay / (1.0 + decay)
+    half = np.sin(0.5 * theta)
+    denom = gap * gap + 4.0 * rho * half * half
+    px = -2.0 * rho * np.sin(theta) / denom
+    py = gap * (1.0 + rho) / denom
     return w.x + w.y * px, w.y * py
 
 

@@ -71,11 +71,14 @@ class FunctionProfile(InitialProfile):
 
 
 class SampledProfile(InitialProfile):
-    """Grid samples with cubic interpolation, hard zero outside the support.
+    """Grid samples with natural cubic interpolation, hard zero outside the support.
 
-    The declared support defaults to the node span; samples at the support
-    endpoints should be zero so the interpolant meets the hard clamp
-    continuously.
+    The interpolant is the natural-end cubic spline through the samples
+    (scipy's ``CubicSpline(..., bc_type="natural")``), built and evaluated
+    here in numpy.  It is zero outside the node span and outside the
+    declared support, which defaults to the node span; samples at the
+    support endpoints should be zero so the interpolant meets the hard
+    clamp continuously.
     """
 
     def __init__(self, nodes, values, support: tuple[float, float] | None = None):
@@ -92,15 +95,80 @@ class SampledProfile(InitialProfile):
         if support is None:
             support = (nodes[0], nodes[-1])
         super().__init__(*support)
-        from scipy.interpolate import CubicSpline  # lazy: only file: profiles pay its import
         self.nodes = nodes
         self.values = values
-        self._spline = CubicSpline(nodes, values, bc_type="natural", extrapolate=False)
+        # interval of each knot; the last knot closes the last interval
+        self._ranks = np.minimum(np.arange(len(nodes), dtype=float), len(nodes) - 2)
+        self._coefficients = _natural_spline(nodes, values)
+
+    def _interval(self, x) -> np.ndarray:
+        """Index i of the knot interval [nodes[i], nodes[i+1]) holding each x, -1 outside the span.
+
+        This is ``searchsorted(nodes, x, side="right") - 1``, except that
+        the last knot belongs to the last interval.  np.interp bisects for
+        the interval, but its rank can round up to the next one just below
+        a knot; one comparison takes that back.
+        """
+        i = np.interp(x, self.nodes, self._ranks, right=-1.0).astype(np.intp)
+        i -= x < self.nodes[i]
+        return i
 
     def _eval_inside(self, x):
-        out = self._spline(x)
-        # support may extend past the node span; the profile is zero there
-        return np.nan_to_num(out, nan=0.0)
+        i = self._interval(x)
+        s = x - self.nodes[i]
+        # Horner's rule in the offset from the interval's left knot; the
+        # coefficients' last row is zero, so i = -1 gives exactly 0.0
+        c3, c2, c1, c0 = self._coefficients
+        out = c3[i]
+        out *= s
+        out += c2[i]
+        out *= s
+        out += c1[i]
+        out *= s
+        out += c0[i]
+        return out
+
+
+def _natural_spline(nodes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cubic, quadratic, linear and constant coefficients of the natural cubic spline.
+
+    Row i holds interval [nodes[i], nodes[i+1]) in powers of x - nodes[i];
+    a last row of zeros follows.  The knot slopes s solve the tridiagonal
+    system that CubicSpline builds for natural ends (zero second
+    derivative), with h the knot spacings and m the chord slopes:
+
+        2 s[0] + s[1] = 3 m[0]
+        h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] = 3 (h[i] m[i-1] + h[i-1] m[i])
+        s[n-2] + 2 s[n-1] = 3 m[n-2]
+
+    The system is strictly diagonally dominant, so one forward and one
+    backward sweep (the Thomas algorithm) solve it without pivoting.
+    """
+    h = np.diff(nodes)
+    chord = np.diff(values) / h
+    diag = np.concatenate(([2.0], 2.0 * (h[:-1] + h[1:]), [2.0]))
+    upper = np.concatenate(([1.0], h[:-1]))   # row i, column i + 1
+    lower = np.concatenate((h[1:], [1.0]))    # row i + 1, column i
+    rhs = 3.0 * np.concatenate((chord[:1], h[1:] * chord[:-1] + h[:-1] * chord[1:], chord[-1:]))
+    # the sweeps run on Python floats: numpy scalars cost several times more a step
+    lower, diag, upper, rhs = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    dk, bk = diag[0], rhs[0]
+    d, b = [dk], [bk]
+    for lo, up, di, bi in zip(lower, upper, diag[1:], rhs[1:]):
+        fact = lo / dk
+        dk = di - fact * up
+        bk = bi - fact * bk
+        d.append(dk)
+        b.append(bk)
+    sk = bk / dk
+    s = [sk]
+    for up, di, bi in zip(reversed(upper), reversed(d[:-1]), reversed(b[:-1])):
+        sk = (bi - up * sk) / di
+        s.append(sk)
+    slopes = np.array(s[::-1])
+    t = (slopes[:-1] + slopes[1:] - 2.0 * chord) / h
+    rows = (t / h, (chord - slopes[:-1]) / h - t, slopes[:-1], values[:-1])
+    return tuple(np.append(c, 0.0) for c in rows)
 
 
 def write_profile_csv(path, profile_or_nodes, values=None) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import os
 import re
@@ -443,13 +444,34 @@ def _fresh_python(code, *args, cwd=None):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_cli_import_leaves_interpolate_and_integrate_unloaded():
+_UNWANTED = ("scipy.interpolate", "scipy.integrate", "scipy.linalg")
+
+
+def test_cli_import_leaves_interpolate_and_integrate_unloaded(tmp_path):
+    """Neither importing the CLI nor a line solve on a file: profile loads them.
+
+    The sampled profile's spline is built in numpy; scipy.linalg would
+    solve its system bit for bit but adds about 0.07 s to the import.
+    """
+    nodes = np.linspace(-1.2, 1.2, 241)
+    write_profile_csv(tmp_path / "f.csv", nodes, BumpProfile(-1.0, 1.0)(nodes))
+    tail = ["--profile", f"file:{tmp_path / 'f.csv'}", "--t", "1", "--x-grid", "-1:1:5", "--no-timestamp"]
+    commands = [["solve", "--k", "1"], ["solve-const", "--k", "1"],
+                ["solve-telegraph", "--alpha", "1", "--beta", "1"]]
     proc = _fresh_python(
-        "import sys, liouwave.cli\n"
-        "print([m for m in ('scipy.interpolate', 'scipy.integrate') if m in sys.modules])"
+        "import contextlib, io, json, sys\n"
+        "import liouwave.cli as cli\n"
+        f"unwanted = {_UNWANTED!r}\n"
+        "seen = [[m for m in unwanted if m in sys.modules]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    seen.append([m for m in unwanted if m in sys.modules])\n"
+        "print(json.dumps(seen))",
+        json.dumps([c + tail for c in commands]),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == [[]] * (1 + len(commands))
 
 
 _FAILING_SUITE = (

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from liouwave import (
     hyperbolic_solve,
     solve_cauchy,
 )
-from liouwave.hyperbolic import _polar_points
+from liouwave.hyperbolic import DEFAULT_N_THETA, _polar_points, _radial_nodes
 from liouwave.quadrature import default_rule, panel_points, weighted_sum
 from oracles import translated
 
@@ -58,6 +59,34 @@ def test_polar_points_sit_at_prescribed_distance():
             px, py = _polar_points(w, r, float(theta))
             d = geodesic_distance(w, HyperbolicPoint(float(px), float(py)))
             assert d == pytest.approx(r, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, 5.0, 10.0, 19.0])
+def test_every_disk_node_sits_at_its_radius_to_a_few_ulps(t):
+    """The geodesic distance from w to each node, in 40-digit arithmetic, is its r.
+
+    Below r = 1 the bound is absolute: there the rounding of the node's
+    coordinates alone moves the distance by a few ulps of 1, not of r.
+    """
+    mp = pytest.importorskip("mpmath")
+    w = HyperbolicPoint(0.0, 1.4)
+    _, _, r = _radial_nodes(t, default_rule(), DEFAULT_PANELS)
+    thetas = np.linspace(0.0, 2 * math.pi, DEFAULT_N_THETA, endpoint=False)
+    px, py = _polar_points(w, r, thetas[:, None])
+    with mp.workdps(40):
+        xw, yw = mp.mpf(w.x), mp.mpf(w.y)
+        for x, y, radius in zip(px.ravel().tolist(), py.ravel().tolist(), np.tile(r, len(thetas)).tolist()):
+            x, y = mp.mpf(x), mp.mpf(y)
+            d = mp.acosh(1 + ((x - xw) ** 2 + (y - yw) ** 2) / (2 * y * yw))
+            assert abs(d - radius) <= 4 * np.finfo(float).eps * max(radius, 1.0), (t, radius)
+
+
+@pytest.mark.parametrize("t", [20.0, 40.0])
+def test_disk_solve_past_the_tanh_limit_raises_no_warning(t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = hyperbolic_solve(bump_profile_2d(-1.0, 1.0, 1.0, 2.0), t, HyperbolicPoint(0.0, 1.4))
+    assert math.isfinite(value)
 
 
 def test_point_validation():

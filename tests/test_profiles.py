@@ -216,3 +216,47 @@ def test_all_inside_call_returns_a_fresh_array_of_the_input_shape(func):
         out[...] = 7.0
         assert np.array_equal(xs, before)
         assert np.array_equal(f(xs), np.broadcast_to(func(before), xs.shape))
+
+
+def _knots(kind, n, rng):
+    uniform = np.linspace(-1.3, 2.1, n)
+    if kind == "uniform":
+        return uniform
+    if kind == "jittered":
+        return uniform + rng.uniform(-0.3, 0.3, n) * (uniform[1] - uniform[0])
+    return np.sinh(2.0 * np.linspace(-0.8, 1.1, n))  # spacing grows 5x across the span
+
+
+@pytest.mark.parametrize("kind", ["uniform", "jittered", "graded"])
+def test_sampled_profile_is_scipys_natural_spline(kind):
+    CubicSpline = pytest.importorskip("scipy.interpolate").CubicSpline
+    rng = np.random.default_rng(26)
+    for n in (4, 5, 7, 12, 40, 121, 333, 700):
+        nodes = _knots(kind, n, rng)
+        values = rng.uniform(0.5, 2.0) * np.exp(-nodes * nodes) * (1.0 + 0.3 * np.sin(5.0 * nodes))
+        prof = SampledProfile(nodes, values)
+        theirs = CubicSpline(nodes, values, bc_type="natural", extrapolate=False)
+        # the end knots are the support's edges, where the profile is clamped to 0
+        xs = np.concatenate([nodes[1:-1], rng.uniform(nodes[0], nodes[-1], 3000)])
+        assert np.max(np.abs(prof(xs) - theirs(xs))) <= 1e-15 * np.max(np.abs(values))
+
+
+def test_interval_lookup_is_searchsorted_right_at_and_beside_every_knot():
+    rng = np.random.default_rng(7)
+    for nodes in (np.linspace(-1.0, 1.0, 101), np.cumsum(rng.uniform(0.01, 1.0, 500)) - 3.0):
+        prof = SampledProfile(nodes, np.cos(nodes))
+        xs = np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+        expect = np.searchsorted(nodes, xs, side="right") - 1
+        expect[xs == nodes[-1]] = len(nodes) - 2  # the last knot closes the last interval
+        expect[xs > nodes[-1]] = -1
+        assert np.array_equal(prof._interval(xs), expect)
+
+
+def test_sampled_profile_is_exactly_zero_between_node_span_and_wider_support():
+    nodes = np.linspace(-1.0, 1.0, 41)
+    prof = SampledProfile(nodes, 1.0 + nodes * nodes, support=(-2.0, 2.5))
+    outside = np.array([-1.99, -1.5, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), 1.7, 2.49])
+    out = prof(outside)
+    assert out.tolist() == [0.0] * len(outside)
+    assert not np.signbit(out).any()
+    assert prof(np.array([-1.0, 1.0])).tolist() == [2.0, 2.0]

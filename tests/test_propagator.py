@@ -301,6 +301,14 @@ def test_solution_field_rejects_non_finite_axes(times, positions):
         SolutionField(times, positions, np.zeros((len(times), len(positions))), "quadrature")
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_position_index_rejects_a_non_finite_x(x):
+    field = SolutionField([1.0], [0.0, 0.5, 1.0], np.zeros((1, 3)), "quadrature")
+    assert field.position_index(0.7) == 1
+    with pytest.raises(DomainError, match="position_index requires finite x"):
+        field.position_index(x)
+
+
 def test_line_solve_rejects_two_dimensional_positions(bump):
     with pytest.raises(ConfigError):
         solve_cauchy(1.0, bump, 1.0, np.zeros((2, 3)))
